@@ -9,11 +9,14 @@ hot path cannot quietly grow allocations back.
 
 This pass walks the call graph from the kernel's **hot roots**:
 
-* the event loop — ``Simulator.run`` / ``Simulator._schedule_event``;
-* event firing — ``Event._fire`` / ``Event._schedule`` /
-  ``Event.succeed``;
-* the grant paths — ``FifoResource.request/_grant/release/_occ_update``
-  and ``Store.put/get/_stamp/try_get``;
+* the event loops — ``Simulator.run`` / ``Simulator._run_bare`` /
+  ``Simulator._schedule_event``;
+* event triggering and firing — ``Event._fire`` / ``Event.succeed`` /
+  ``Timeout.__init__``;
+* processes — ``Simulator.spawn`` / ``Process.__init__`` /
+  ``Process._resume``;
+* the grant paths — ``FifoResource.request/_grant/release`` and
+  ``Store.put/get/_stamp/try_get``;
 * every method of the disabled-telemetry null singletons
   (``_Null*``/``Null*`` classes in :mod:`repro.telemetry`) — the
   "allocation-free when disabled" contract made mechanical.
@@ -25,10 +28,17 @@ expression: dict/list/set/tuple displays, comprehensions, f-strings,
 ``list()`` / ``set()`` builtin calls.
 
 The kernel keeps a handful of *sanctioned* allocations — the heap-entry
-tuple, the waiter pair, the sanitizer key stamp — each carrying an
+tuple, each event's callback list, the waiter pair, the sanitizer key
+stamp — each carrying an
 inline ``# repro-audit: disable=RPR022`` with its justification; those
 are the allocations the profiler already accounts for, and the point of
 the gate is that adding an *unsanctioned* one fails CI.
+
+A configured root that no longer resolves in an audited module raises
+:class:`UnresolvedRootError` (``repro-audit`` exits 2): inlining or
+renaming a kernel method must update :data:`DEFAULT_HOT_ROOTS`, or the
+gate would quietly shrink.  Roots in modules outside the audited paths
+are out of scope and skipped.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Tuple
 
+from ...errors import ConfigurationError
 from ..rules import RawFinding
 from .callgraph import CallGraph, cold_nodes
 from .symbols import SymbolTable
@@ -44,14 +55,17 @@ from .symbols import SymbolTable
 #: ending in ``.`` (every method of the class is a root).
 DEFAULT_HOT_ROOTS: Tuple[str, ...] = (
     "repro.sim.engine.Simulator.run",
+    "repro.sim.engine.Simulator._run_bare",
     "repro.sim.engine.Simulator._schedule_event",
+    "repro.sim.engine.Simulator.spawn",
     "repro.sim.events.Event._fire",
-    "repro.sim.events.Event._schedule",
     "repro.sim.events.Event.succeed",
+    "repro.sim.events.Timeout.__init__",
+    "repro.sim.process.Process.__init__",
+    "repro.sim.process.Process._resume",
     "repro.sim.resources.FifoResource.request",
     "repro.sim.resources.FifoResource._grant",
     "repro.sim.resources.FifoResource.release",
-    "repro.sim.resources.FifoResource._occ_update",
     "repro.sim.resources.Store.put",
     "repro.sim.resources.Store.get",
     "repro.sim.resources.Store._stamp",
@@ -77,18 +91,51 @@ _REPORTING_METHODS = {
 }
 
 
+class UnresolvedRootError(ConfigurationError):
+    """A configured hot root names nothing in its (audited) module."""
+
+
+def _audited_module(symtab: SymbolTable, root: str) -> str:
+    """The module ``root`` lives in, if audited, else ``""``.
+
+    A root is ``module.function`` or ``module.Class.method`` (its module
+    drops one or two trailing names) or ``module.Class.`` (one).
+    """
+    parts = root.rstrip(".").split(".")
+    for drop in (1,) if root.endswith(".") else (1, 2):
+        name = ".".join(parts[:-drop])
+        if name in symtab.modules:
+            return name
+    return ""
+
+
 def expand_roots(
     symtab: SymbolTable, roots: Sequence[str] = DEFAULT_HOT_ROOTS
 ) -> List[str]:
-    """Resolve the configured root spec against the symbol table."""
+    """Resolve the configured root spec against the symbol table.
+
+    Raises :class:`UnresolvedRootError` for a root whose module is
+    audited but which matches no function there.
+    """
     expanded = set()
     for root in roots:
         if root in symtab.functions:
             expanded.add(root)
-        elif root.endswith("."):
-            for qname in symtab.functions:
-                if qname.startswith(root):
-                    expanded.add(qname)
+            continue
+        matched = (
+            [q for q in symtab.functions if q.startswith(root)]
+            if root.endswith(".")
+            else []
+        )
+        if not matched:
+            module = _audited_module(symtab, root)
+            if module:
+                raise UnresolvedRootError(
+                    f"hot root {root!r} matches no function in audited "
+                    f"module {module!r}; update the configured roots "
+                    "(DEFAULT_HOT_ROOTS) to follow the kernel"
+                )
+        expanded.update(matched)
     for qname, cls_sym in sorted(symtab.classes.items()):
         pkg = cls_sym.module.split(".")
         if any(p in _NULL_PACKAGES for p in pkg) and cls_sym.name.startswith(

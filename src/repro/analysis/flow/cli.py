@@ -9,7 +9,8 @@ Usage::
 
 Exit status mirrors ``repro-lint``: 0 when no **new** findings
 (relative to the baseline, or to an empty baseline when none is given);
-1 when new findings exist; 2 on usage errors.
+1 when new findings exist; 2 on usage errors and on a configured hot
+root that no longer resolves in the audited tree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import List, Optional
 from ..baseline import Baseline
 from ..reporters import render_json, render_rules, render_text
 from . import AUDIT_RULES, audit_paths
+from .allocations import UnresolvedRootError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +93,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "no such path: " + ", ".join(str(p) for p in missing)
         )
 
-    findings = audit_paths(args.paths)
+    try:
+        findings = audit_paths(args.paths)
+    except UnresolvedRootError as exc:
+        print(f"repro-audit: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.update_baseline:
         Baseline.from_findings(findings).save(args.baseline)

@@ -46,15 +46,20 @@ class FabricSpec:
 
 
 def routes_are_deterministic(fabric: Any, pairs: List[Tuple[int, int]]) -> bool:
-    """True when repeated stage lookups return identical resources.
+    """True when stage lookups return the resources a fresh route has.
 
     Used by property tests: deterministic routing is an invariant both of
     the real networks and of reproducible simulation.  Works on any
-    :class:`~repro.topology.Topology`.
+    :class:`~repro.topology.Topology`.  ``wire_stages`` serves cached
+    routes, so each lookup is compared with a fresh ``_route`` (two
+    lookups would just return the same cached list).  Same-node pairs
+    have no route.
     """
     for src, dst in pairs:
-        first = [s.resource for s in fabric.wire_stages(src, dst)]
-        second = [s.resource for s in fabric.wire_stages(src, dst)]
-        if first != second:
+        served = [s.resource for s in fabric.wire_stages(src, dst)]
+        fresh = (
+            [s.resource for s in fabric._route(src, dst)] if src != dst else []
+        )
+        if served != fresh:
             return False
     return True

@@ -76,8 +76,22 @@ class Nic:
         #: Per-message engine occupancy — the injection gap.
         self.tx_engine = FifoResource(sim, name=f"nic{node.node_id}.tx")
         self.rx_engine = FifoResource(sim, name=f"nic{node.node_id}.rx")
-        self._tx_processing = tx_processing
-        self._rx_processing = rx_processing
+        # The host-side stages of every payload pipeline, built once.
+        self._pcix_stage = node.pcix_stage()
+        self._tx_stage = Stage(
+            resource=self.tx_engine,
+            bandwidth=None,
+            overhead=tx_processing,
+            latency_out=0.0,
+            name=f"nictx{node.node_id}",
+        )
+        self._rx_stage = Stage(
+            resource=self.rx_engine,
+            bandwidth=None,
+            overhead=rx_processing,
+            latency_out=0.0,
+            name=f"nicrx{node.node_id}",
+        )
         node.nic = self
         #: Statistics.
         self.messages_sent = 0
@@ -90,29 +104,12 @@ class Nic:
 
         host mem --PCI-X--> NIC engine --wire--> NIC engine --PCI-X--> mem
         """
-        stages: List[Stage] = [
-            self.node.pcix_stage(),
-            Stage(
-                resource=self.tx_engine,
-                bandwidth=None,
-                overhead=self._tx_processing,
-                latency_out=0.0,
-                name=f"nictx{self.node.node_id}",
-            ),
-        ]
-        stages.extend(
-            self.fabric.wire_stages(self.node.node_id, dst_nic.node.node_id)
+        stages: List[Stage] = [self._pcix_stage, self._tx_stage]
+        stages += self.fabric.wire_stages(
+            self.node.node_id, dst_nic.node.node_id
         )
-        stages.append(
-            Stage(
-                resource=dst_nic.rx_engine,
-                bandwidth=None,
-                overhead=dst_nic._rx_processing,
-                latency_out=0.0,
-                name=f"nicrx{dst_nic.node.node_id}",
-            )
-        )
-        stages.append(dst_nic.node.pcix_stage())
+        stages.append(dst_nic._rx_stage)
+        stages.append(dst_nic._pcix_stage)
         return stages
 
     def push(

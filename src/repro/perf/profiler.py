@@ -5,8 +5,9 @@ observes its event loop.  The kernel calls exactly two methods per
 event while a profiler is attached — :meth:`KernelProfiler.begin`
 before ``event._fire()`` and :meth:`KernelProfiler.end` after — and
 bumps :attr:`KernelProfiler.heap_pushes` on each schedule.  With no
-profiler attached (the default) the kernel pays a single ``is None``
-identity check per event and allocates nothing, the same discipline as
+profiler attached (the default) the run takes the kernel's bare loop,
+each heap push pays a single ``is None`` identity check, and nothing is
+allocated, the same discipline as
 the race sanitizer and the telemetry null singletons; results are
 byte-identical either way because the profiler only ever *reads* the
 wall clock, never the simulation.

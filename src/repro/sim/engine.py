@@ -89,13 +89,14 @@ class Simulator:
         self.faults: Optional["FaultInjector"] = None
         #: Opt-in same-time race sanitizer
         #: (:class:`~repro.analysis.sanitizer.RaceSanitizer`).  ``None``
-        #: — the default — costs one identity check per event; the
+        #: — the default — lets :meth:`run` take its bare loop; the
         #: sanitizer only *observes* pops, so enabling it never changes
         #: simulated results.
         self.sanitizer: Optional[Any] = sanitizer
         #: Opt-in kernel self-profiler
         #: (:class:`~repro.perf.KernelProfiler`).  ``None`` — the
-        #: default — costs one identity check per event.  The profiler
+        #: default — lets :meth:`run` take its bare loop and costs one
+        #: identity check per heap push.  The profiler
         #: only reads the wall clock around ``_fire()``, so attaching
         #: one never changes simulated results; all clock reads live in
         #: :mod:`repro.perf.profiler` (lint rule RPR012 keeps them out
@@ -119,6 +120,13 @@ class Simulator:
 
     def _process_crashed(self, proc: Process, exc: BaseException) -> None:
         self._crashed.append((proc, exc))
+
+    def _raise_crash(self) -> None:
+        """Abort the run with the first crashed process's exception."""
+        proc, exc = self._crashed[0]
+        raise SimulationError(
+            f"process {proc.name!r} crashed at t={self._now:.3f}us"
+        ) from exc
 
     # -- public factory helpers --------------------------------------------
 
@@ -150,7 +158,7 @@ class Simulator:
         proc = Process(self, generator, name=name)
         if not daemon:
             self._live[proc] = None
-            proc.add_callback(self._process_done)
+            proc.callbacks.append(self._process_done)
         return proc
 
     def _process_done(self, ev: Event) -> None:
@@ -199,9 +207,22 @@ class Simulator:
         blocked-process roster.  Both default to unlimited — the
         watchdogs exist for unattended campaign runs, where a livelocked
         model must kill one run, not the whole sweep.
+
+        With none of these arguments and no sanitizer or profiler
+        attached, the run takes :meth:`_run_bare`, which fires the same
+        event stream with fewer checks per event.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if (
+            until is None
+            and until_process is None
+            and max_events is None
+            and wall_limit_s is None
+            and self.sanitizer is None
+            and self.profiler is None
+        ):
+            return self._run_bare()
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be >= 1: {max_events}")
         if wall_limit_s is not None and wall_limit_s <= 0:
@@ -219,10 +240,7 @@ class Simulator:
         try:
             while self._heap:
                 if self._crashed:
-                    proc, exc = self._crashed[0]
-                    raise SimulationError(
-                        f"process {proc.name!r} crashed at t={self._now:.3f}us"
-                    ) from exc
+                    self._raise_crash()
                 if until_process is not None and until_process.triggered:
                     break
                 if budget is not None:
@@ -261,16 +279,43 @@ class Simulator:
                     event._fire()
             else:
                 if self._crashed:
-                    proc, exc = self._crashed[0]
-                    raise SimulationError(
-                        f"process {proc.name!r} crashed at t={self._now:.3f}us"
-                    ) from exc
+                    self._raise_crash()
                 if until is not None and self._now < until:
                     self._now = until
         finally:
             self._running = False
             if prof is not None:
                 prof.exit_run()
+        return self._now
+
+    def _run_bare(self) -> float:
+        """:meth:`run` with no stop condition, watchdog or observer.
+
+        Fires the same stream as the instrumented loop, with
+        ``Event._fire`` inlined; its crash check after each event is
+        that loop's check before the next one.  The event count is
+        added to :attr:`events_processed` once, on the way out.
+        """
+        self._running = True
+        heap = self._heap
+        crashed = self._crashed
+        pop = heapq.heappop
+        fired = 0
+        try:
+            if crashed:
+                self._raise_crash()
+            while heap:
+                t, _seq, event = pop(heap)
+                self._now = t
+                fired += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if crashed:
+                    self._raise_crash()
+        finally:
+            self._running = False
+            self.events_processed += fired
         return self._now
 
     def run_all(

@@ -11,6 +11,8 @@ that all same-time activity is ordered by a deterministic sequence number.
 
 from __future__ import annotations
 
+from heapq import heappush
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from ..errors import SimulationError
@@ -27,10 +29,15 @@ class Event:
 
     State machine: *pending* -> *triggered* (value or exception) ->
     *processed* (callbacks have run).  Triggering twice is an error; it
-    almost always indicates a protocol bug in a network model.
+    almost always indicates a protocol bug in a network model.  A
+    triggered event is scheduled exactly once, at trigger time.
+
+    The hot subclasses (:class:`Timeout`, processes, resource grants)
+    set these slots inline instead of calling ``Event.__init__``; a
+    slot added here must be added there too.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exception", "_scheduled", "key")
+    __slots__ = ("sim", "callbacks", "_value", "_exception", "key")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -38,7 +45,6 @@ class Event:
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._exception: Optional[BaseException] = None
-        self._scheduled = False
         #: Semantic tiebreak key (see :meth:`tiebreak_key`).  ``None``
         #: means the event claims no ordering significance among
         #: same-time peers.
@@ -74,10 +80,16 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("event triggered twice")
         self._value = value
-        self._schedule()
+        # Simulator._schedule_event inlined (zero delay): the hottest
+        # push in the kernel.
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim._now, sim._seq, self))  # repro-audit: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        if sim.profiler is not None:
+            sim.profiler.heap_pushes += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -87,18 +99,14 @@ class Event:
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
         self._exception = exception
-        self._schedule()
+        self.sim._schedule_event(self)
         return self
-
-    def _schedule(self) -> None:
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim._schedule_event(self)
 
     # -- kernel interface --------------------------------------------------
 
     def _fire(self) -> None:
-        """Run callbacks.  Called only by the simulator loop."""
+        """Run callbacks.  Called by the instrumented simulator loop (the
+        bare loop inlines it)."""
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
             for cb in callbacks:
@@ -150,7 +158,7 @@ class Event:
             if self._exception is not None:
                 # Deliver the failure to the late waiter as well.
                 ev._exception = self._exception
-                ev._schedule()
+                self.sim._schedule_event(ev)
             else:
                 ev.succeed(self._value)
         else:
@@ -158,18 +166,31 @@ class Event:
 
 
 class Timeout(Event):
-    """Event that fires ``delay`` microseconds after creation."""
+    """Event that fires ``delay`` microseconds after creation.
+
+    ``delay`` must be finite and non-negative: a NaN delay would put a
+    NaN time on the heap and run the clock backwards.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        if not 0.0 <= delay < inf:
+            raise SimulationError(
+                f"timeout delay must be finite and >= 0: {delay}"
+            )
+        # Event.__init__ and Simulator._schedule_event inlined: a
+        # timeout is born triggered and scheduled.
+        self.sim = sim
+        self.callbacks = []  # repro-audit: disable=RPR022 -- every event owns its callback list
         self._value = value
-        self._scheduled = True
-        sim._schedule_event(self, delay)
+        self._exception = None
+        self.key = None
+        self.delay = delay
+        sim._seq += 1
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))  # repro-audit: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        if sim.profiler is not None:
+            sim.profiler.heap_pushes += 1
 
     def describe(self) -> str:
         return f"Timeout({self.delay:g}us)"

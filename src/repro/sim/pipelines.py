@@ -12,11 +12,14 @@ true duration — while intra-message pipelining costs O(stages) events.
 Timing rules for stage *i* acquiring its resource at time ``a_i``:
 
 * serialization time ``T_i = overhead_i + size / bandwidth_i``;
-* finish ``f_i = max(a_i + T_i, f_{i-1} + latency_{i-1} + tail_i)`` where
+* finish ``f_i = max(a_i + T_i, f_{i-1} + tail_i)`` where
   ``tail_i = min(size, chunk) / bandwidth_i`` — a fast stage cannot finish
-  before the final chunk has arrived from its slower predecessor;
+  before the final chunk has left its slower predecessor.  The tail
+  bound leaves out the predecessor's ``latency_out`` (a documented
+  approximation, MODELING.md §4);
 * the first chunk leaves stage *i* at ``a_i + overhead_i + head_i`` and
-  reaches stage *i+1* after ``latency_i``, gating that stage's start.
+  reaches stage *i+1* after ``latency_i``, gating that stage's start;
+* the message is delivered ``latency_out`` after the last stage finishes.
 
 For messages not larger than one chunk, this degrades to store-and-forward,
 which is the correct small-message behaviour.
@@ -25,10 +28,11 @@ which is the correct small-message behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence
 
 from ..errors import SimulationError
-from .events import Event
+from .events import Event, Timeout
 from .resources import FifoResource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,12 +76,27 @@ class Stage:
     name: str = ""
     switch_latency: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Checked once here, so transfer() never meets a NaN, infinite
+        # or non-positive rate (a NaN rate would move bytes in no time).
+        bw = self.bandwidth
+        if bw is not None and not 0.0 < bw < inf:
+            raise SimulationError(
+                f"stage {self.name!r}: bandwidth must be finite and > 0 "
+                f"(or None), got {bw!r}"
+            )
+        for field in ("overhead", "latency_out", "switch_latency"):
+            value = getattr(self, field)
+            if not 0.0 <= value < inf:
+                raise SimulationError(
+                    f"stage {self.name!r}: {field} must be finite and >= 0, "
+                    f"got {value!r}"
+                )
+
     def serialization(self, size: int) -> float:
         """Full serialization time for ``size`` bytes."""
         t = self.overhead
         if self.bandwidth is not None:
-            if self.bandwidth <= 0:
-                raise SimulationError(f"stage {self.name!r}: bad bandwidth")
             t += size / self.bandwidth
         return t
 
@@ -122,55 +141,72 @@ def transfer(
     # begin acquiring its resource.
     start_gates: List[Event] = [Event(sim) for _ in range(n)]
     start_gates[0].succeed(None)
+    if n > len(_STAGE_NAMES):
+        _extend_names(n)
 
     def stage_proc(i: int) -> Generator[Event, Any, None]:
         st = stages[i]
-        gate_val = yield start_gates[i]
-        prev_finish = gate_val  # None for stage 0
-        req = None
-        if st.resource is not None:
-            req = st.resource.request(
-                key=None if key is None else (key, i)
-            )
+        prev_finish = yield start_gates[i]  # None for stage 0
+        res = st.resource
+        if res is not None:
+            req = res.request(None if key is None else (key, i))
             yield req
-        a_i = sim.now
-        t_ser = st.serialization(size)
+        # Stage.serialization and Stage.chunk_time inlined, with the
+        # same float expressions in the same order.
+        bw = st.bandwidth
+        if bw is None:
+            t_ser = st.overhead
+            head_t = 0.0
+        else:
+            t_ser = st.overhead + size / bw
+            head_t = head / bw
+        a_i = sim._now
         finish = a_i + t_ser
         if prev_finish is not None:
-            finish = max(finish, prev_finish + st.chunk_time(head))
+            finish = max(finish, prev_finish + head_t)
         # Gate the next stage once the first chunk is out and propagated.
         if i + 1 < n:
-            first_out = a_i + st.overhead + st.chunk_time(head) + st.latency_out
-            gate_delay = max(0.0, first_out - sim.now)
+            first_out = a_i + st.overhead + head_t + st.latency_out
+            gate_delay = max(0.0, first_out - sim._now)
             sim.spawn(
                 _fire_after(sim, gate_delay, start_gates[i + 1], finish),
-                name=f"gate{i + 1}",
+                name=_GATE_NAMES[i + 1],
             )
-        hold = max(0.0, finish - sim.now)
+        hold = max(0.0, finish - sim._now)
         if hold > 0.0:
-            yield sim.timeout(hold)
-        if req is not None:
-            st.resource.release(req)
+            yield Timeout(sim, hold)
+        if res is not None:
+            res.release(req)
         if i == n - 1:
             # Final propagation out of the last stage (delivery latency).
             if st.latency_out > 0.0:
-                yield sim.timeout(st.latency_out)
-            done.succeed(sim.now)
+                yield Timeout(sim, st.latency_out)
+            done.succeed(sim._now)
 
     for i in range(n):
-        sim.spawn(stage_proc(i), name=f"xfer-stage{i}")
+        sim.spawn(stage_proc(i), name=_STAGE_NAMES[i])
     end = yield done
     return end
+
+
+#: Process names of transfer stages and gates, built once per index and
+#: only ever appended to (``_GATE_NAMES[0]`` is unused: stage 0 has no
+#: gate process).
+_STAGE_NAMES: List[str] = []
+_GATE_NAMES: List[str] = []
+
+
+def _extend_names(n: int) -> None:
+    for i in range(len(_STAGE_NAMES), n):
+        _STAGE_NAMES.append(f"xfer-stage{i}")
+        _GATE_NAMES.append(f"gate{i}")
 
 
 def _fire_after(
     sim: "Simulator", delay: float, gate: Event, value: Any
 ) -> Generator[Event, Any, None]:
-    if delay > 0.0:
-        yield sim.timeout(delay)
-    else:
-        # Still yield once so the generator is valid even for zero delay.
-        yield sim.timeout(0.0)
+    # A zero delay still yields once, so the gate fires from the heap.
+    yield Timeout(sim, delay)
     gate.succeed(value)
 
 

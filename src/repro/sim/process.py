@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import SimulationError
-from .events import Event
+from .events import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
@@ -44,13 +44,20 @@ class Process(Event):
                 f"spawn() needs a generator, got {type(generator).__name__}; "
                 "did you call the process function with ()?"
             )
-        super().__init__(sim)
+        # Event.__init__ inlined (see Event).
+        self.sim = sim
+        self.callbacks = []  # repro-audit: disable=RPR022 -- every event owns its callback list
+        self._value = _PENDING
+        self._exception = None
+        self.key = None
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        # Kick off at the current simulation time.
+        # Kick off at the current simulation time.  The bound method is
+        # built per wait, never stored on the process: a stored one would
+        # make every process a reference cycle for the cyclic GC.
         start = Event(sim)
-        start.add_callback(self._resume)
+        start.callbacks.append(self._resume)
         start.succeed(None)
 
     @property
@@ -71,7 +78,7 @@ class Process(Event):
 
     def _resume(self, ev: Event) -> None:
         """Advance the generator with the value (or exception) of ``ev``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return  # stale wakeup after the process already finished
         if self._waiting_on is not None and ev is not self._waiting_on:
             return  # superseded (e.g. by an interrupt); ignore the old event
@@ -90,7 +97,7 @@ class Process(Event):
             return
         if not isinstance(target, Event):
             exc2 = SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
+                f"process {self.name!r} yielded {target!r}; processes must "  # repro-audit: disable=RPR022 -- crash path: a bad yield ends the process
                 "yield Event/Process objects (use sim.timeout(dt) to sleep)"
             )
             self.generator.close()
@@ -98,7 +105,11 @@ class Process(Event):
             self.fail(exc2)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
+        else:
+            target.add_callback(self._resume)
 
     def interrupt(self, exc: Optional[BaseException] = None) -> None:
         """Throw ``exc`` (default :class:`Interrupted`) into the process.
@@ -111,7 +122,7 @@ class Process(Event):
         kick = Event(self.sim)
         kick.add_callback(self._resume)
         kick._exception = exc if exc is not None else Interrupted(self.name)
-        kick._schedule()
+        self.sim._schedule_event(kick)
         # Supersede whatever the process was waiting on so its eventual
         # trigger is ignored as a stale wakeup.
         self._waiting_on = kick

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
 
 from ..errors import SimulationError
 from ..telemetry.series import NULL_CHANNEL
-from .events import Event
+from .events import _PENDING, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
@@ -32,9 +32,13 @@ class ResourceRequest(Event):
     def __init__(
         self, sim: "Simulator", resource: "FifoResource", key: Any = None
     ) -> None:
-        super().__init__(sim)
-        self.resource = resource
+        # Event.__init__ inlined (see Event).
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
         self.key = key
+        self.resource = resource
 
     def describe(self) -> str:
         name = self.resource.name or "anonymous"
@@ -119,48 +123,52 @@ class FifoResource:
         same-time requests on this resource have a meaningful order
         (e.g. the wire sequence number of the message being serviced).
         """
-        ev = ResourceRequest(self.sim, self, key=key)
+        now = self.sim._now
+        ev = ResourceRequest(self.sim, self, key)
         if self._in_use < self.capacity and not self._waiters:
-            self._grant(ev, self.sim.now)
+            self._grant(ev, now)
         else:
-            self._waiters.append((ev, self.sim.now))  # repro-audit: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
+            self._waiters.append((ev, now))  # repro-audit: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
             if len(self._waiters) > self.queue_hwm:
                 self.queue_hwm = len(self._waiters)
         return ev
 
-    def _occ_update(self) -> None:
-        now = self.sim.now
-        self.slot_busy_time += self._in_use * (now - self._occ_at)
-        self._occ_at = now
-
     def _grant(self, ev: Event, requested_at: float) -> None:
-        self._occ_update()
-        self._in_use += 1
-        if self._in_use > self.in_use_hwm:
-            self.in_use_hwm = self._in_use
+        now = self.sim._now
+        # Occupancy integral up to now, then one more slot in use.
+        in_use = self._in_use
+        self.slot_busy_time += in_use * (now - self._occ_at)
+        self._occ_at = now
+        self._in_use = in_use = in_use + 1
+        if in_use > self.in_use_hwm:
+            self.in_use_hwm = in_use
         self.total_grants += 1
-        self.total_wait_time += self.sim.now - requested_at
+        self.total_wait_time += now - requested_at
         if self._busy_since is None:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         if self._timeline is not None:
-            self._grant_times[ev] = self.sim.now
-        self._series.record(self.sim.now, self._in_use)
+            self._grant_times[ev] = now
+        self._series.record(now, in_use)
         ev.succeed(requested_at)
 
     def release(self, req: Event) -> None:
         """Return the slot held by ``req``."""
-        if not req.triggered:
+        if req._value is _PENDING and req._exception is None:
             # Cancellation of a queued request.
             for pair in self._waiters:
                 if pair[0] is req:
                     self._waiters.remove(pair)
                     return
             raise SimulationError("release() of unknown pending request")
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise SimulationError(f"release() of idle resource {self.name!r}")
-        self._occ_update()
-        self._in_use -= 1
-        self._series.record(self.sim.now, self._in_use)
+        now = self.sim._now
+        # Occupancy integral up to now, then one slot fewer in use.
+        self.slot_busy_time += in_use * (now - self._occ_at)
+        self._occ_at = now
+        self._in_use = in_use = in_use - 1
+        self._series.record(now, in_use)
         if self._timeline is not None:
             started = self._grant_times.pop(req, None)
             if started is not None:
@@ -169,23 +177,23 @@ class FifoResource:
                     self.name,
                     "resource",
                     started,
-                    self.sim.now - started,
+                    now - started,
                 )
         if self._waiters:
             nxt, requested_at = self._waiters.popleft()
             self._grant(nxt, requested_at)
-        if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
+        elif in_use == 0 and self._busy_since is not None:
+            self.busy_time += now - self._busy_since
             self._busy_since = None
 
     def using(
         self, duration: float, key: Any = None
     ) -> Generator[Event, Any, None]:
         """Generator helper: acquire, hold ``duration`` us, release."""
-        req = self.request(key=key)
+        req = self.request(key)
         yield req
         try:
-            yield self.sim.timeout(duration)
+            yield Timeout(self.sim, duration)
         finally:
             self.release(req)
 

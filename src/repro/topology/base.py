@@ -15,10 +15,15 @@ registered under ``link.*`` resource names (so occupancy shows up as
 ``resource.link.*`` telemetry); node up/downlinks keep their historical
 ``up{i}`` / ``down{i}`` names, which golden tests pin.
 
+:meth:`Topology.wire_stages` caches each pair's primary route, since
+routing is a pure function of (src, dst); installed migrations are
+still served first.
+
 :meth:`Topology.check_invariants` audits a bounded sample of the routes
 a run actually used: repeated lookups must return identical resource
-chains, every stage resource must be registered with the topology, and
-hop counts must stay within the topology's own bound.
+chains, every cached route must equal a fresh one, every stage resource
+must be registered with the topology, and hop counts must stay within
+the topology's own bound.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Routed (src, dst) pairs remembered for end-of-run invariant checks.
 #: Bounded so all-to-all traffic at 1024+ ranks cannot hoard memory.
 ROUTE_SAMPLE_LIMIT = 512
+
+#: Primary routes cached by :meth:`Topology.wire_stages`.  Past the
+#: limit, routes are recomputed per call: all-to-all at 1024 ranks would
+#: otherwise keep a million stage lists alive.
+ROUTE_CACHE_LIMIT = 8192
 
 
 class Topology:
@@ -63,6 +73,8 @@ class Topology:
         #: migrations that :meth:`wire_stages` serves instead of the
         #: primary route.
         self._migrations: Dict[Tuple[int, int], List[Stage]] = {}
+        #: Primary routes by (src, dst), as :meth:`_route` built them.
+        self._routes: Dict[Tuple[int, int], List[Stage]] = {}
         self._target_cache: Optional[FrozenSet[str]] = None
 
     # -- link bookkeeping --------------------------------------------------
@@ -196,19 +208,26 @@ class Topology:
 
         Same-node (NIC loopback) paths return an empty list: the message
         never leaves the adapter, which is how both era MPI stacks
-        handled intra-node traffic on these NICs.
+        handled intra-node traffic on these NICs.  The returned list may
+        be shared between calls; callers must not mutate it.
         """
         self._check(src)
         self._check(dst)
         if src == dst:
             return []
+        pair = (src, dst)
         if len(self._routed) < ROUTE_SAMPLE_LIMIT:
-            self._routed[(src, dst)] = None
+            self._routed[pair] = None
         if self._migrations:
-            migrated = self._migrations.get((src, dst))
+            migrated = self._migrations.get(pair)
             if migrated is not None:
                 return migrated
-        return self._route(src, dst)
+        route = self._routes.get(pair)
+        if route is None:
+            route = self._route(src, dst)
+            if len(self._routes) < ROUTE_CACHE_LIMIT:
+                self._routes[pair] = route
+        return route
 
     def _route(self, src: int, dst: int) -> List[Stage]:
         """The deterministic stage chain for distinct, in-range nodes."""
@@ -247,6 +266,16 @@ class Topology:
         """
         problems: List[dict] = []
         bound = self.max_route_stages()
+        for (src, dst), cached in sorted(self._routes.items()):
+            if cached != self._route(src, dst):
+                problems.append({
+                    "name": "route_cache_fresh",
+                    "message": (
+                        f"cached route {src}->{dst} differs from a fresh "
+                        "route computation"
+                    ),
+                    "details": {"src": src, "dst": dst},
+                })
         for src, dst in sorted(self._routed):
             first = [st.resource for st in self._route(src, dst)]
             second = [st.resource for st in self._route(src, dst)]

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.flow import audit_paths
+from repro.analysis.flow import DEFAULT_HOT_ROOTS, SymbolTable, audit_paths
+from repro.analysis.flow.allocations import UnresolvedRootError, expand_roots
 from repro.analysis.flow.cli import main
 from repro.analysis.reporters import render_json
 
@@ -247,6 +248,40 @@ class TestAllocationPass:
         })
         assert findings == []
 
+    @pytest.mark.parametrize("stale", [
+        "repro.pkg.kernel.Simulator._no_such_method",
+        "repro.pkg.kernel._no_such_function",
+        "repro.pkg.kernel._NoSuchClass.",
+    ])
+    def test_unresolved_root_is_a_named_error(self, tmp_path, stale):
+        """A root inlined or renamed away must not shrink the gate."""
+        with pytest.raises(UnresolvedRootError, match="_no_such|_NoSuch"):
+            audit(tmp_path, {
+                "kernel.py": """
+                    class Simulator:
+                        def run(self):
+                            return self._now
+                """,
+            }, roots=(ROOT, stale))
+
+    def test_root_outside_audited_tree_is_skipped(self, tmp_path):
+        findings = audit(tmp_path, {
+            "m.py": "def f(sim):\n    return sim.now\n",
+        }, roots=("repro.elsewhere.Simulator.run",))
+        assert findings == []
+
+    def test_default_roots_all_resolve_in_real_tree(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        symtab = SymbolTable.build([src / "repro" / "sim"], root=src.parent)
+        expanded = expand_roots(symtab, DEFAULT_HOT_ROOTS)
+        assert set(DEFAULT_HOT_ROOTS) <= set(expanded)
+        with pytest.raises(UnresolvedRootError):
+            expand_roots(
+                symtab,
+                DEFAULT_HOT_ROOTS
+                + ("repro.sim.resources.FifoResource._no_such_method",),
+            )
+
 
 class TestProvenancePass:
     def test_ambient_draw_two_calls_deep_flagged(self, tmp_path):
@@ -429,6 +464,24 @@ class TestAuditCli:
         assert main([str(root), "--format", "json"]) == 1
         out = capsys.readouterr().out
         assert '"rule": "RPR020"' in out
+
+    def test_unresolved_default_root_exits_two(self, tmp_path, capsys):
+        """A kernel module missing a default root fails as a usage error."""
+        sim_pkg = tmp_path / "src" / "repro" / "sim"
+        sim_pkg.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        (sim_pkg / "__init__.py").write_text("")
+        (sim_pkg / "resources.py").write_text(textwrap.dedent("""
+            class FifoResource:
+                def request(self, key=None):
+                    return key
+
+                def release(self, req):
+                    return req
+        """))
+        assert main([str(tmp_path / "src")]) == 2
+        err = capsys.readouterr().err
+        assert "repro.sim.resources.FifoResource._grant" in err
 
     def test_real_tree_is_clean(self):
         repo_root = Path(__file__).resolve().parents[2]

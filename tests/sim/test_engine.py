@@ -42,6 +42,31 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_timeout_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="finite"):
+        sim.timeout(delay)
+
+
+def test_nan_delay_cannot_run_the_clock_backwards():
+    # A NaN delay used to be accepted (``nan < 0`` is false) and the
+    # clock then ran 3.0 -> nan -> 5.0.
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        yield sim.timeout(3.0)
+        seen.append(sim.now)
+        yield sim.timeout(float("nan"))
+
+    sim.spawn(proc(), name="nan")
+    with pytest.raises(SimulationError, match="crashed"):
+        sim.run()
+    assert seen == [3.0]
+    assert sim.now == 3.0
+
+
 def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     order = []

@@ -159,3 +159,36 @@ def test_pipeline_monotone_in_size():
         t = transfer_time_estimate(stages, size)
         assert t > prev
         prev = t
+
+
+def test_two_stage_recurrence_omits_predecessor_latency():
+    # A slow first stage with a long hop into a fast second stage.  The
+    # last chunk reaches stage 2 at f_1 + head/B_2: the model drops the
+    # predecessor's latency_out from that bound (MODELING.md §1, §4), so
+    # 4 KiB in 1 KiB chunks ends at 409.6 + 1.024, not 409.6 + 100 + 1.024.
+    stages = [
+        Stage(resource=None, bandwidth=10.0, latency_out=100.0),
+        Stage(resource=None, bandwidth=1000.0),
+    ]
+    end = run_transfer(Simulator(), stages, 4096, chunk=1024)
+    assert end == pytest.approx(410.624)
+    assert transfer_time_estimate(stages, 4096, chunk=1024) == end
+
+
+@pytest.mark.parametrize(
+    "bandwidth", [0, 0.0, -5.0, float("nan"), float("inf")]
+)
+def test_stage_rejects_bad_bandwidth(bandwidth):
+    # Zero used to fail only inside a later transfer, and NaN not at
+    # all: a NaN-rate stage moved 4 KiB in zero time despite its
+    # overhead.
+    with pytest.raises(SimulationError, match="bandwidth"):
+        Stage(resource=None, bandwidth=bandwidth, overhead=1.0)
+
+
+@pytest.mark.parametrize("field", ["overhead", "latency_out", "switch_latency"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_stage_rejects_bad_times(field, value):
+    with pytest.raises(SimulationError, match=field):
+        Stage(resource=None, bandwidth=1.0, **{field: value})
+

@@ -89,6 +89,30 @@ def test_routes_are_pure_functions_of_src_dst():
         assert first == second
 
 
+def test_wire_stages_caches_routes_and_audits_the_cache():
+    topo = build(32, 8, levels=2)
+    route = topo.wire_stages(0, 13)
+    assert topo.wire_stages(0, 13) is route
+    assert topo.check_invariants() == []
+    # A stale cached route (here: one link swapped) is caught.
+    topo._routes[(0, 13)] = [route[0], route[2], route[1], route[3]]
+    names = [p["name"] for p in topo.check_invariants()]
+    assert names == ["route_cache_fresh"]
+
+
+def test_route_cache_is_bounded(monkeypatch):
+    from repro.topology import base
+
+    monkeypatch.setattr(base, "ROUTE_CACHE_LIMIT", 2)
+    topo = build(32, 8, levels=2)
+    for dst in (13, 14, 15):
+        topo.wire_stages(0, dst)
+    assert sorted(topo._routes) == [(0, 13), (0, 14)]
+    assert [s.resource for s in topo.wire_stages(0, 15)] == [
+        s.resource for s in topo._route(0, 15)
+    ]
+
+
 def test_isl_links_register_lazily():
     topo = build(16, 8, levels=2)
     assert not any(name.startswith("link.") for name in topo.links)
