@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 
 class ResultCache:
@@ -25,25 +25,35 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached record, or None on miss or unreadable entry."""
+    def load(self, key: str) -> Optional[Tuple[Dict[str, Any], str]]:
+        """The cached record and the JSON text it was read from, or None
+        on miss or unreadable entry."""
         path = self.path(key)
         try:
-            record = json.loads(path.read_text())
+            text = path.read_text()
+            record = json.loads(text)
         except (OSError, json.JSONDecodeError):
             return None
         # Paranoia: a record filed under the wrong key is worse than a miss.
         if record.get("key") != key:
             return None
-        return record
+        return record, text
 
-    def put(self, key: str, record: Dict[str, Any]) -> None:
-        """Atomically store one record."""
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The cached record, or None on miss or unreadable entry."""
+        loaded = self.load(key)
+        return None if loaded is None else loaded[0]
+
+    def put(self, key: str, record: Dict[str, Any]) -> str:
+        """Atomically store one record; returns the JSON text written
+        (``json.dumps(record, sort_keys=True)``)."""
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(record, sort_keys=True))
+        text = json.dumps(record, sort_keys=True)
+        tmp.write_text(text)
         os.replace(tmp, path)
+        return text
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).exists()

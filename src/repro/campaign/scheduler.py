@@ -9,8 +9,9 @@ daemon drive through one code path.
 A submitted :class:`~.spec.RunSpec` resolves in four tiers:
 
 1. **cache** — a content-addressed record from any earlier run is
-   returned immediately (optionally via a small in-memory LRU so a hot
-   query-serving loop never touches the disk);
+   returned immediately, with the JSON text the cache stored for it
+   (optionally via a small in-memory LRU so a hot query-serving loop
+   never touches the disk);
 2. **journal** — a completed line from the campaign root's journal
    (the batch engine's resume tier, passed in by the caller);
 3. **coalesce** — an identical spec already in flight joins the
@@ -30,6 +31,7 @@ serially, on a pool worker, or in a previous daemon incarnation.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import queue
 import threading
@@ -37,7 +39,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .cache import ResultCache
@@ -53,6 +55,10 @@ QUARANTINED = "quarantined"
 
 #: States a job never leaves.
 TERMINAL_STATES = (DONE, QUARANTINED)
+
+#: A reuse-tier answer: the record and its JSON text as the disk cache
+#: stores it (``json.dumps(record, sort_keys=True)``).
+Cached = Tuple[Dict[str, Any], str]
 
 
 def _pool_context():
@@ -121,19 +127,24 @@ class Submission:
 
     Exactly one of :attr:`record` (a reuse tier answered) or :attr:`job`
     (scheduled or coalesced) is set; :attr:`source` names the tier:
-    ``cache``, ``journal``, ``coalesced`` or ``scheduled``.
+    ``cache``, ``journal``, ``coalesced`` or ``scheduled``.  A reuse
+    answer also carries :attr:`text`, the record's stored JSON text
+    (``json.dumps(record, sort_keys=True)``), so a server can send it
+    without encoding the record again.
     """
 
-    __slots__ = ("source", "record", "job")
+    __slots__ = ("source", "record", "text", "job")
 
     def __init__(
         self,
         source: str,
         record: Optional[Dict[str, Any]] = None,
+        text: Optional[str] = None,
         job: Optional[Job] = None,
     ) -> None:
         self.source = source
         self.record = record
+        self.text = text
         self.job = job
 
     @property
@@ -157,8 +168,6 @@ class JobStore:
     def append(self, line: Dict[str, Any]) -> None:
         if self.path is None:
             return
-        import json
-
         self.path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(line, sort_keys=True)
         with self.path.open("a") as fh:
@@ -169,8 +178,6 @@ class JobStore:
         """All well-formed lines, oldest first; torn tails skipped."""
         if self.path is None:
             return []
-        import json
-
         try:
             lines = self.path.read_text().splitlines()
         except OSError:
@@ -306,9 +313,10 @@ class JobScheduler:
         #: (the batch engine's historical behaviour; the daemon disables
         #: it so a hot cache-hit loop never writes the journal).
         self.journal_reused = journal_reused
-        #: In-memory LRU capacity over cache records (0 disables).
+        #: In-memory LRU capacity over cache records (0 disables); each
+        #: entry keeps the record beside its stored text.
         self.memory_cache = memory_cache
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memory: "OrderedDict[str, Cached]" = OrderedDict()
         #: Optional :class:`~repro.telemetry.registry.MetricsRegistry`;
         #: when present the scheduler feeds per-job timing histograms
         #: (``scheduler.jobs.queue_delay_s``, ``scheduler.jobs.wall_s``)
@@ -439,24 +447,33 @@ class JobScheduler:
 
     # -- cache tiers ---------------------------------------------------------
 
-    def _cached(self, key: str) -> Optional[Dict[str, Any]]:
+    def _cached(self, key: str) -> Optional[Cached]:
         if self.memory_cache:
-            record = self._memory.get(key)
-            if record is not None:
+            hit = self._memory.get(key)
+            if hit is not None:
                 self._memory.move_to_end(key)
-                return record
-        record = self.cache.get(key)
-        if record is not None:
-            self._remember(key, record)
-        return record
+                return hit
+        hit = self.cache.load(key)
+        if hit is not None:
+            self._remember(key, hit)
+        return hit
 
-    def _remember(self, key: str, record: Dict[str, Any]) -> None:
+    def _remember(self, key: str, hit: Cached) -> None:
         if not self.memory_cache:
             return
-        self._memory[key] = record
+        self._memory[key] = hit
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_cache:
             self._memory.popitem(last=False)
+
+    def cached(self, key: str) -> Optional[Cached]:
+        """The cached record for ``key`` and its stored text, or None.
+
+        Looks in the memory LRU, then on disk, under the scheduler lock:
+        a lookup reorders the LRU, which :meth:`submit` evicts from.
+        """
+        with self._lock:
+            return self._cached(key)
 
     # -- submission ----------------------------------------------------------
 
@@ -478,23 +495,26 @@ class JobScheduler:
             self.stats["submitted"] += 1
             if not force:
                 if self.use_cache:
-                    record = self._cached(key)
-                    if record is not None:
+                    hit = self._cached(key)
+                    if hit is not None:
+                        record, text = hit
                         self.stats["cache_hits"] += 1
                         if self.journal_reused:
                             self.journal.append(dict(record, reused=True))
                         self._say(f"hit  {record.get('label', key)}")
-                        return Submission("cache", record=record)
+                        return Submission("cache", record, text)
                 if journaled and key in journaled:
                     record = journaled[key]
                     self.stats["journal_hits"] += 1
                     if self.use_cache:
-                        self.cache.put(key, record)
-                        self._remember(key, record)
+                        text = self.cache.put(key, record)
+                        self._remember(key, (record, text))
+                    else:
+                        text = json.dumps(record, sort_keys=True)
                     if self.journal_reused:
                         self.journal.append(dict(record, reused=True))
                     self._say(f"hit  {record.get('label', key)}")
-                    return Submission("journal", record=record)
+                    return Submission("journal", record, text)
             job = self._inflight.get(key)
             if job is not None:
                 self.stats["coalesced"] += 1
@@ -652,8 +672,8 @@ class JobScheduler:
             ok = record.get("status") == "ok"
             if ok:
                 if self.use_cache:
-                    self.cache.put(job.key, record)
-                    self._remember(job.key, record)
+                    text = self.cache.put(job.key, record)
+                    self._remember(job.key, (record, text))
                 if attempt:
                     self.stats["retried_ok"] += 1
             self.journal.append(record)

@@ -23,16 +23,26 @@ class TestCache:
         # Two-level fan-out layout: <root>/<key[:2]>/<key>.json.
         assert (tmp_path / KEY[:2] / f"{KEY}.json").is_file()
 
+    def test_load_returns_the_stored_text(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        text = cache.put(KEY, record())
+        assert text == json.dumps(record(), sort_keys=True)
+        assert text == cache.path(KEY).read_text()
+        assert cache.load(KEY) == (record(), text)
+        assert cache.load("cd" + "1" * 30) is None
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(KEY, record())
         cache.path(KEY).write_text("{truncated")
         assert cache.get(KEY) is None
+        assert cache.load(KEY) is None
 
     def test_wrong_key_inside_record_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(KEY, record(key="f" * 32))
         assert cache.get(KEY) is None
+        assert cache.load(KEY) is None
 
     def test_count_size_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -74,6 +74,27 @@ def test_completed_job_stops_coalescing_and_hits_cache(tmp_path):
         again = scheduler.submit(good_spec())
         assert again.source == "cache"
         assert again.record == first.job.record
+        # A hit carries the text the disk cache stored for the record.
+        stored = scheduler.cache.path(again.record["key"]).read_text()
+        assert again.text == stored
+        assert again.text == json.dumps(again.record, sort_keys=True)
+    finally:
+        scheduler.close()
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_journal_hit_carries_the_record_and_its_text(tmp_path, use_cache):
+    key = good_spec().key
+    journaled = {key: {"key": key, "status": "ok", "value": 1.5}}
+    scheduler = JobScheduler.at(
+        tmp_path, workers=1, use_cache=use_cache, memory_cache=4
+    )
+    try:
+        for source in ("journal", "cache") if use_cache else ("journal",) * 2:
+            sub = scheduler.submit(good_spec(), journaled=journaled)
+            assert sub.source == source
+            assert sub.record is journaled[key]  # the caller's own dict
+            assert sub.text == json.dumps(journaled[key], sort_keys=True)
     finally:
         scheduler.close()
 

@@ -8,14 +8,18 @@ handles that complete through the shared JobScheduler.
 """
 
 import json
+import socket
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection, HTTPException
 
 import pytest
 
-from repro.campaign import CampaignEngine, RunSpec
-from repro.serve import ServeService
+from repro.campaign import CampaignEngine, ResultCache, RunSpec
+from repro.serve import ServeService, ServeState
 
 pytestmark = pytest.mark.serve
 
@@ -49,6 +53,50 @@ def http_error(method, url, body=None):
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read() or b"{}")
     raise AssertionError(f"{method} {url} unexpectedly succeeded")
+
+
+def raw_http(service, method, path, body=None):
+    """Status and undecoded body bytes of one request."""
+    conn = HTTPConnection(service.host, service.port, timeout=60)
+    try:
+        conn.request(
+            method, path, body=None if body is None else json.dumps(body)
+        )
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def canonical(payload):
+    """The bytes json.dumps(..., sort_keys=True) gives a JSON answer."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def on_server_writes(monkeypatch, service, action):
+    """Call ``action(name)`` before every socket write the server makes
+    on an accepted connection (those sockets sit on the service port)."""
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def wrapper(sock, *args, _name=name, _original=original, **kwargs):
+            if sock.getsockname()[1] == service.port:
+                action(_name)
+            return _original(sock, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, name, wrapper)
+
+
+def read_head(fh):
+    """Status line and headers (lower-cased names) of one response."""
+    status = fh.readline().decode()
+    headers = {}
+    while True:
+        line = fh.readline().decode().strip()
+        if not line:
+            return status, headers
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +147,116 @@ def test_record_fetch_by_key(service, warm_root):
     assert body["record"]["label"] == batch_record["label"]
 
 
+def test_hit_bodies_are_the_canonical_encoding_on_every_tier(tmp_path):
+    """Hits splice the stored record text; the bytes must still equal
+    json.dumps(payload, sort_keys=True) for the record the tier holds."""
+    CampaignEngine(root=tmp_path, workers=1, echo=None).run_specs(
+        [RunSpec.from_dict(SPEC)]
+    )
+    key = RunSpec.from_dict(SPEC).key
+    cache = ResultCache(tmp_path / "cache")
+    stored = cache.get(key)
+
+    def check(svc, source, record):
+        status, raw = raw_http(svc, "POST", "/v1/runs", SPEC)
+        assert status == 200
+        assert raw == canonical(
+            {"key": key, "record": record, "source": source}
+        )
+        status, raw = raw_http(svc, "GET", f"/v1/runs/{key}")
+        assert status == 200
+        assert raw == canonical({"record": record})
+
+    svc = ServeService(tmp_path, workers=1, memory_cache=0, echo=None).start()
+    try:
+        check(svc, "cache", stored)  # no LRU: both answers read the file
+    finally:
+        svc.close()
+    svc = ServeService(tmp_path, workers=1, echo=None).start()
+    try:
+        raw_http(svc, "POST", "/v1/runs", SPEC)  # into the LRU
+        cache.path(key).unlink()
+        check(svc, "cache", stored)  # the file is gone: memory answers
+    finally:
+        svc.close()
+    svc = ServeService(tmp_path, workers=1, use_cache=False, echo=None).start()
+    try:
+        check(svc, "journal", svc.state.journaled[key])
+    finally:
+        svc.close()
+
+
+def test_hit_answer_is_one_socket_write(service, monkeypatch):
+    http("POST", service.url + "/v1/runs", SPEC)  # promote into the LRU
+    writes = []
+    on_server_writes(monkeypatch, service, writes.append)
+    status, body = raw_http(service, "POST", "/v1/runs", SPEC)
+    assert status == 200 and json.loads(body)["source"] == "cache"
+    assert len(writes) == 1
+
+
+def test_expect_100_continue_arrives_before_the_body(service):
+    body = json.dumps(SPEC).encode()
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock, sock.makefile("rb") as fh:
+        sock.sendall(
+            b"POST /v1/runs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n"
+            % len(body)
+        )
+        status, _ = read_head(fh)  # times out if it waits in the buffer
+        assert status.startswith("HTTP/1.1 100")
+        sock.sendall(body)
+        status, headers = read_head(fh)
+        assert status.startswith("HTTP/1.1 200")
+        answer = json.loads(fh.read(int(headers["content-length"])))
+    assert answer["source"] == "cache"
+
+
+def test_stdlib_error_replies_leave_the_buffer(service):
+    """send_error answers skip the per-request flush; finish() sends
+    them, and their Connection: close ends the exchange."""
+    for request, code in (
+        (b"GET /v1/status extra HTTP/1.1\r\n\r\n", 400),
+        (b"PUT /v1/runs HTTP/1.1\r\nHost: test\r\n\r\n", 501),
+    ):
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock, sock.makefile("rb") as fh:
+            sock.sendall(request)
+            status, headers = read_head(fh)
+            assert status.split()[1] == str(code)
+            assert headers["connection"] == "close"
+
+
+def test_client_gone_before_the_answer_is_quiet(service, monkeypatch):
+    """A failed write drops the buffered answer instead of raising from
+    finish() into the server's traceback printer."""
+    failures = []
+    monkeypatch.setattr(
+        service.server, "handle_error",
+        lambda request, address: failures.append(sys.exc_info()[1]),
+    )
+
+    def refuse(name):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    on_server_writes(monkeypatch, service, refuse)
+    conn = HTTPConnection(service.host, service.port, timeout=10)
+    try:
+        conn.request("POST", "/v1/runs", body=json.dumps(SPEC))
+        with pytest.raises((HTTPException, OSError)):
+            conn.getresponse().read()
+    finally:
+        conn.close()
+    monkeypatch.undo()
+    # The server lives on, and the dead exchange raised nothing.
+    assert http("POST", service.url + "/v1/runs", SPEC)[0] == 200
+    assert failures == []
+
+
 # -- cold path ----------------------------------------------------------------
 
 
@@ -121,6 +279,23 @@ def test_cold_query_completes_via_job_handle(service):
     status, hit = http("POST", service.url + "/v1/runs", spec)
     assert status == 200 and hit["source"] == "cache"
     assert hit["record"] == body["job"]["record"]
+
+
+def test_wait_s_must_be_a_finite_non_negative_number(service):
+    """JSON admits NaN; a NaN wait would spin a handler thread."""
+    spec = json.dumps(dict(SPEC, app_args={"size": 24}))
+    scheduled = service.state.scheduler.stats["scheduled"]
+    for bad in ("NaN", "Infinity", "-1"):
+        req = urllib.request.Request(
+            service.url + "/v1/runs", method="POST",
+            data=f'{{"spec": {spec}, "wait_s": {bad}}}'.encode(),
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 400
+        assert "wait_s" in json.loads(err.value.read())["error"]
+    # Rejected at the boundary: nothing was scheduled.
+    assert service.state.scheduler.stats["scheduled"] == scheduled
 
 
 def test_wait_s_blocks_until_done(service):
@@ -271,6 +446,57 @@ def test_bad_bodies_are_400(service):
         raise AssertionError("bad JSON accepted")
     except urllib.error.HTTPError as exc:
         assert exc.code == 400
+
+
+# -- concurrency --------------------------------------------------------------
+
+
+def test_record_reads_race_hits_on_a_small_lru(tmp_path):
+    """GET /v1/runs/<key> reads the LRU that hits reorder and evict:
+    four readers against one hitter over four keys and two LRU slots."""
+    specs = [RunSpec.from_dict(dict(SPEC, app_args={"size": size}))
+             for size in (1, 2, 3, 4)]
+    cache = ResultCache(tmp_path / "cache")
+    for spec in specs:
+        cache.put(spec.key, {"key": spec.key, "status": "ok"})
+    state = ServeState(tmp_path, workers=1, memory_cache=2)
+    stop = threading.Event()
+    errors = []
+
+    def loop(ask):
+        try:
+            while not stop.is_set():
+                for spec in specs:
+                    record, text = ask(spec)
+                    assert record["key"] == spec.key
+                    assert json.loads(text)["key"] == spec.key
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def read(spec):
+        return state.cached_record(spec.key)
+
+    def hit(spec):
+        sub = state.submit(spec)
+        assert sub.source == "cache"
+        return sub.record, sub.text
+
+    threads = [threading.Thread(target=loop, args=(read,)) for _ in range(4)]
+    threads.append(threading.Thread(target=loop, args=(hit,)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(2.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+        state.scheduler.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 # -- restart resume -----------------------------------------------------------
