@@ -1,23 +1,13 @@
 """Simulator throughput (events/sec) across fabric topologies.
 
 Not a paper figure — a performance acceptance pass for the topology
-and failover subsystems.  Since the perf-ladder refactor both tests
-are thin wrappers over :mod:`repro.perf.ladder`: the same rungs the
-``repro-perf`` CLI runs, reduced to the historical
-``BENCH_topology.json`` / ``BENCH_chaos.json`` projections.  One code
-path feeds the CLI's unified ``BENCH_perf.json`` and these trend
-files; CI uploads them as artifacts for trajectory tracking.
+and failover subsystems.  Both tests are thin wrappers over
+:mod:`repro.perf.ladder`: the same rungs the ``repro-perf`` CLI runs
+(and records in ``BENCH_perf.json``), asserted on here.
 """
 
-import json
-from pathlib import Path
-
-from repro.perf import chaos_rows, ladder_cases, run_case, topology_rows
-from repro.perf.ladder import CHAOS_CASES, FLOOR_EVENTS_PER_SEC, TOPOLOGY_CASES
-
-_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = _ROOT / "BENCH_topology.json"
-CHAOS_RESULT_PATH = _ROOT / "BENCH_chaos.json"
+from repro.perf import ladder_cases, run_case
+from repro.perf.ladder import FLOOR_EVENTS_PER_SEC
 
 
 def _run(names, quick: bool):
@@ -29,7 +19,9 @@ def _run(names, quick: bool):
 
 def test_topology_events_per_sec(benchmark, quick):
     rows = benchmark.pedantic(
-        lambda: _run(TOPOLOGY_CASES, quick), rounds=1, iterations=1
+        lambda: _run(["crossbar-64", "fattree-256"], quick),
+        rounds=1,
+        iterations=1,
     )
 
     print()
@@ -53,13 +45,10 @@ def test_topology_events_per_sec(benchmark, quick):
         row["events_per_sec"] > FLOOR_EVENTS_PER_SEC for row in rows
     )
 
-    RESULT_PATH.write_text(json.dumps(topology_rows(rows), indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
-
 
 def test_degraded_fabric_events_per_sec(benchmark, quick):
     rows = benchmark.pedantic(
-        lambda: _run(CHAOS_CASES, quick), rounds=1, iterations=1
+        lambda: _run(["degraded-fattree-64"], quick), rounds=1, iterations=1
     )
     row = rows[0]
 
@@ -74,6 +63,3 @@ def test_degraded_fabric_events_per_sec(benchmark, quick):
     assert row["events_per_sec"] > FLOOR_EVENTS_PER_SEC
     assert 0.0 < row["bw_ratio"] < 1.0
     assert row["failovers"] >= 1
-
-    CHAOS_RESULT_PATH.write_text(json.dumps(chaos_rows(rows), indent=2) + "\n")
-    print(f"wrote {CHAOS_RESULT_PATH}")

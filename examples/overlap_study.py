@@ -13,7 +13,7 @@ Run:  python examples/overlap_study.py
 
 from repro import Machine
 from repro.mpi import NETWORK_LABELS
-from repro.units import MiB
+from repro.units import MiB, us_from_ms
 
 
 def make_overlap_prog(size, compute_us):
@@ -49,7 +49,7 @@ def main():
         )
     )
     for compute_ms in (0.5, 1.0, 2.0, 4.0, 8.0):
-        compute_us = compute_ms * 1000.0
+        compute_us = us_from_ms(compute_ms)
         cells = []
         for net in ("ib", "elan"):
             machine = Machine(net, n_nodes=2)

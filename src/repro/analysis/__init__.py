@@ -7,17 +7,18 @@ serial == parallel*.  This package enforces that contract mechanically,
 at three layers:
 
 * :mod:`~repro.analysis.rules` / :mod:`~repro.analysis.linter` — the
-  ``repro-lint`` AST linter: eight rules targeting the hazards that
-  actually corrupt simulation results (wall-clock reads, unseeded RNG,
-  unordered ``set`` iteration, float accumulation over dict views,
-  mutable default arguments, non-``Event`` yields in sim processes,
-  unpicklable campaign spec values, telemetry allocation on the
-  disabled path, swallowed simulation errors).
-* :mod:`~repro.analysis.flow` — the ``repro-audit`` whole-program
-  dataflow analyzer: a symbol table + call graph over the entire tree
-  feeding three interprocedural passes — units checking (RPR020/021),
-  hot-path allocation gating (RPR022) and RNG provenance (RPR023) —
-  catching the cross-module hazards the per-file linter cannot see.
+  ``repro-lint`` per-file AST rules (RPR001-RPR012) targeting the
+  hazards that actually corrupt simulation results (wall-clock reads,
+  unseeded RNG, unordered ``set`` iteration, float accumulation over
+  dict views, mutable default arguments, non-``Event`` yields in sim
+  processes, unpicklable campaign spec values, telemetry allocation on
+  the disabled path, swallowed simulation errors).
+* :mod:`~repro.analysis.flow` — ``repro-lint``'s whole-program
+  dataflow passes: a symbol table + call graph over the entire tree
+  feeding units checking (RPR020/021), hot-path allocation gating
+  (RPR022) and RNG provenance (RPR023) — the cross-module hazards the
+  per-file rules cannot see.  One rule table, one suppression tag and
+  one baseline cover both.
 * :mod:`~repro.analysis.sanitizer` — an opt-in runtime sanitizer that
   flags same-timestamp event pairs touching one resource without a
   deterministic tiebreak key: the sim-level analogue of a data race.
@@ -33,16 +34,14 @@ clean — and CI fails on any *new* finding, so a stray
 
 from ..errors import InvariantViolation
 from .baseline import Baseline
-from .flow import AUDIT_RULES, audit_paths, audit_rule_ids
+from .flow import audit_paths
 from .invariants import Violation, check_invariants, verify_invariants
 from .linter import Finding, lint_files, lint_paths
 from .rules import RULES, rule_ids
 from .sanitizer import RaceFinding, RaceSanitizer
 
 __all__ = [
-    "AUDIT_RULES",
     "audit_paths",
-    "audit_rule_ids",
     "Baseline",
     "Finding",
     "InvariantViolation",

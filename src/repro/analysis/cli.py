@@ -1,15 +1,19 @@
-"""``repro-lint`` — determinism linter for the repro simulator tree.
+"""``repro-lint`` — determinism analyzer for the repro simulator tree.
+
+Every invocation runs the per-file rules (RPR001-RPR012) and the
+whole-program dataflow passes (RPR020-RPR023) over the given paths.
 
 Usage::
 
-    repro-lint src benchmarks --baseline .repro-lint-baseline.json
+    repro-lint src benchmarks examples --baseline .repro-lint-baseline.json
     repro-lint src/repro --format json
-    repro-lint --list-rules
+    repro-lint list-rules
     repro-lint src --baseline b.json --update-baseline
 
 Exit status: 0 when no **new** findings (relative to the baseline, or
 to an empty baseline when none is given); 1 when new findings exist;
-2 on usage errors.
+2 on usage errors and on a configured kernel hot root that no longer
+resolves in the analyzed tree.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from .baseline import Baseline
+from .flow import audit_paths
+from .flow.allocations import UnresolvedRootError
 from .linter import lint_paths
 from .reporters import render_json, render_rules, render_text
 
@@ -28,15 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST linter enforcing the simulator's determinism contract "
-            "(rules RPR001-RPR008)."
+            "Static analyzer enforcing the simulator's determinism "
+            "contract: per-file rules RPR001-RPR012 and whole-program "
+            "passes RPR020-RPR023."
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint (directories are walked "
+        help="files or directories to analyze (directories are walked "
         "for *.py), or the literal 'list-rules'",
     )
     parser.add_argument(
@@ -90,7 +97,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             "no such path: " + ", ".join(str(p) for p in missing)
         )
 
-    findings = lint_paths(args.paths)
+    try:
+        findings = sorted(
+            lint_paths(args.paths) + audit_paths(args.paths),
+            key=lambda f: (f.path, f.line, f.col, f.rule),
+        )
+    except UnresolvedRootError as exc:
+        print(f"repro-lint: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.update_baseline:
         Baseline.from_findings(findings).save(args.baseline)

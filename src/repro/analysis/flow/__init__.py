@@ -1,6 +1,6 @@
-"""``repro.analysis.flow`` — whole-program dataflow audit (``repro-audit``).
+"""``repro.analysis.flow`` — ``repro-lint``'s whole-program dataflow passes.
 
-Where ``repro-lint`` sees one file at a time, the auditor parses the
+Where the per-file rules see one file at a time, these passes parse the
 whole tree once into a :class:`~.symbols.SymbolTable` and a
 :class:`~.callgraph.CallGraph`, then runs three interprocedural passes:
 
@@ -14,10 +14,10 @@ whole tree once into a :class:`~.symbols.SymbolTable` and a
   provably reach a named seeded stream.
 
 Findings reuse the linter's :class:`~repro.analysis.linter.Finding`
-machinery — content fingerprints, per-line ``# repro-audit:
-disable=RPRnnn`` suppressions, the committed-baseline gate and the
-text/JSON reporters — so ``repro-audit`` slots into CI with the same
-0/1/2 exit-code convention as ``repro-lint``.
+machinery — content fingerprints, per-line ``# repro-lint:
+disable=RPRnnn`` suppressions, the committed baseline and the text/JSON
+reporters — and ``repro-lint`` runs these passes on every invocation,
+next to the per-file rules.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .allocations import DEFAULT_HOT_ROOTS, check_allocations
 from .callgraph import CallGraph
 from .dimensions import check_dimensions
 from .provenance import check_provenance
-from .rules import AUDIT_RULES, audit_rule_ids
 from .symbols import SymbolTable
 
 
@@ -69,12 +68,10 @@ def audit_project(
     findings: List[Finding] = []
     for path in sorted(raw_by_path):
         source = source_by_path.get(path, "")
-        suppressed = parse_suppressions(
-            source, tool="audit", all_rules=AUDIT_RULES
-        )
         findings.extend(
             assemble_findings(
-                sorted(raw_by_path[path]), source, path, suppressed
+                sorted(raw_by_path[path]), source, path,
+                parse_suppressions(source),
             )
         )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -91,12 +88,10 @@ def audit_paths(
 
 
 __all__ = [
-    "AUDIT_RULES",
     "CallGraph",
     "DEFAULT_HOT_ROOTS",
     "Project",
     "SymbolTable",
     "audit_paths",
     "audit_project",
-    "audit_rule_ids",
 ]

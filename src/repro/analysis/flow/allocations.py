@@ -30,12 +30,12 @@ expression: dict/list/set/tuple displays, comprehensions, f-strings,
 The kernel keeps a handful of *sanctioned* allocations — the heap-entry
 tuple, each event's callback list, the waiter pair, the sanitizer key
 stamp — each carrying an
-inline ``# repro-audit: disable=RPR022`` with its justification; those
+inline ``# repro-lint: disable=RPR022`` with its justification; those
 are the allocations the profiler already accounts for, and the point of
 the gate is that adding an *unsanctioned* one fails CI.
 
 A configured root that no longer resolves in an audited module raises
-:class:`UnresolvedRootError` (``repro-audit`` exits 2): inlining or
+:class:`UnresolvedRootError` (``repro-lint`` exits 2): inlining or
 renaming a kernel method must update :data:`DEFAULT_HOT_ROOTS`, or the
 gate would quietly shrink.  Roots in modules outside the audited paths
 are out of scope and skipped.

@@ -1,4 +1,4 @@
-"""Whole-program symbol table for the ``repro-audit`` dataflow passes.
+"""Whole-program symbol table for the dataflow passes.
 
 Every module under the audited paths is parsed exactly once; the table
 records, per module, the import bindings (local name -> fully qualified

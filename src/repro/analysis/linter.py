@@ -6,8 +6,8 @@ its line carries ``# repro-lint: disable=RPRnnn[, RPRmmm...]`` or
 ``# repro-lint: disable=all``.  Rule lists may be separated by commas
 with or without spaces, and trailing prose after the list is ignored
 (``# repro-lint: disable=RPR003, RPR007 -- sanctioned heap entry``).
-The whole-program auditor (:mod:`repro.analysis.flow`) shares this
-machinery under its own ``# repro-audit: disable=...`` tag.
+The whole-program passes (:mod:`repro.analysis.flow`) share this
+machinery and the one tag, so ``disable=all`` covers RPR001-RPR023.
 
 Findings carry a content-based :attr:`Finding.fingerprint` so the
 committed baseline survives unrelated edits: it hashes the rule id, the
@@ -26,13 +26,11 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .rules import RULES, RawFinding, run_rules
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-(lint|audit):\s*disable=([A-Za-z0-9_,\s-]+)"
-)
+_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s-]+)")
 
 #: A rule token is ``all`` or a rule id like ``RPR003``; anything else in
 #: a disable list (trailing prose, a justification) is ignored.
@@ -84,22 +82,15 @@ class Finding:
         }
 
 
-def parse_suppressions(
-    source: str,
-    tool: str = "lint",
-    all_rules: Optional[Mapping[str, str]] = None,
-) -> Dict[int, Set[str]]:
+def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     """Map line number -> rule ids disabled on that line.
 
-    ``tool`` selects the comment tag honored (``repro-lint:`` or
-    ``repro-audit:``); ``all_rules`` is the universe the special token
-    ``all`` expands to (defaults to the linter's rule table).  Rule
-    lists split on commas, tolerate surrounding whitespace
+    The special token ``all`` expands to every rule in :data:`RULES`.
+    Rule lists split on commas, tolerate surrounding whitespace
     (``disable=RPR003, RPR007``), and drop any trailing prose after a
     rule token rather than corrupting the token.  Tokenizing (not
     substring search) keeps the directive out of string literals.
     """
-    universe = RULES if all_rules is None else all_rules
     suppressed: Dict[int, Set[str]] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -107,10 +98,10 @@ def parse_suppressions(
             if tok.type != tokenize.COMMENT:
                 continue
             match = _SUPPRESS_RE.search(tok.string)
-            if not match or match.group(1) != tool:
+            if not match:
                 continue
             ids: Set[str] = set()
-            for part in match.group(2).split(","):
+            for part in match.group(1).split(","):
                 words = part.split()
                 if not words:
                     continue
@@ -120,7 +111,7 @@ def parse_suppressions(
                 if not _RULE_TOKEN_RE.match(token):
                     continue
                 if token.lower() == "all":
-                    ids.update(universe)
+                    ids.update(RULES)
                 else:
                     ids.add(token.upper())
             suppressed.setdefault(tok.start[0], set()).update(ids)
@@ -160,8 +151,8 @@ def assemble_findings(
 
     Applies per-line suppressions, attaches the flagged line's text, and
     stamps the occurrence index that makes fingerprints of duplicated
-    lines distinct.  Shared by the linter and the ``repro-audit``
-    dataflow passes so both tools get identical baseline semantics.
+    lines distinct.  Shared by the per-file rules and the whole-program
+    passes so both get identical baseline semantics.
     """
     lines = source.splitlines()
     counts: Dict[Tuple[str, str], int] = {}
@@ -212,7 +203,7 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
 
     The result is deduplicated and sorted by POSIX path string,
     regardless of the order ``paths`` were given in or the order the
-    filesystem yields directory entries — so lint/audit findings (and
+    filesystem yields directory entries — so findings (and
     therefore baseline diffs) are stable across machines and
     filesystems.
     """

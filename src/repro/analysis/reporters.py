@@ -1,18 +1,16 @@
-"""Text and JSON reporters shared by ``repro-lint`` and ``repro-audit``."""
+"""Text and JSON reporters for ``repro-lint``."""
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List
 
 from .baseline import BaselineDiff
 from .linter import Finding
 from .rules import RULES
 
 
-def render_text(
-    diff: BaselineDiff, show_known: bool = False, tool: str = "repro-lint"
-) -> str:
+def render_text(diff: BaselineDiff, show_known: bool = False) -> str:
     """GCC-style one-line-per-finding report plus a summary footer."""
     lines: List[str] = []
     for finding in diff.new:
@@ -41,7 +39,7 @@ def render_text(
             )
     lines.append("")
     lines.append(
-        f"{tool}: {len(diff.new)} new, {len(diff.known)} baselined, "
+        f"repro-lint: {len(diff.new)} new, {len(diff.known)} baselined, "
         f"{len(diff.expired)} expired"
     )
     return "\n".join(lines)
@@ -63,10 +61,6 @@ def render_json(diff: BaselineDiff) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_rules(rules: Optional[Mapping[str, str]] = None) -> str:
-    """The rule catalogue, for ``repro-lint``/``repro-audit`` list-rules."""
-    table = RULES if rules is None else rules
-    lines = []
-    for rule_id in sorted(table):
-        lines.append(f"{rule_id}  {table[rule_id]}")
-    return "\n".join(lines)
+def render_rules() -> str:
+    """The rule catalogue, for ``repro-lint list-rules``."""
+    return "\n".join(f"{rule_id}  {RULES[rule_id]}" for rule_id in sorted(RULES))

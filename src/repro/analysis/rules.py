@@ -33,11 +33,33 @@ RPR012      ``time.perf_counter``/``time.monotonic`` inside
             ``repro.perf`` profiler seam (path-scoped rule)
 ==========  ==========================================================
 
+The RPR020 series are *whole-program* findings from the dataflow passes
+in :mod:`repro.analysis.flow`, which see across modules:
+
+==========  ==========================================================
+RPR020      mixed-dimension arithmetic or comparison (``_us`` + ``_s``,
+            ``_bytes`` < ``_us``, ...): units are inferred from name
+            suffixes, :mod:`repro.units` helpers and string-literal
+            parameter annotations, then propagated through assignments,
+            calls and returns
+RPR021      argument whose inferred dimension contradicts the callee
+            parameter's declared/inferred dimension
+RPR022      per-event allocation (dict/list/set/tuple display,
+            comprehension, f-string, closure) on a kernel hot path —
+            the event loop, the resource grant paths, or a disabled
+            telemetry/perf singleton
+RPR023      random draw whose receiver does not provably come from a
+            named seeded stream (``rng.stream(...)`` / ``fault.*``);
+            traced interprocedurally through locals, ``self``
+            attributes, returns and call arguments
+==========  ==========================================================
+
 Rules are deliberately narrow: each pattern flagged is one a reviewer
 would reject on sight, so a finding is actionable and a clean tree can
 stay clean with an **empty baseline**.  Deliberate exceptions (the
-kernel's wall-clock watchdog, the RNG module's own ``default_rng``)
-carry per-line ``# repro-lint: disable=RPRnnn`` suppressions.
+kernel's wall-clock watchdog, the RNG module's own ``default_rng``, the
+kernel's sanctioned heap-entry tuple) carry per-line
+``# repro-lint: disable=RPRnnn`` suppressions.
 """
 
 from __future__ import annotations
@@ -45,7 +67,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Set, Tuple
 
-#: Rule id -> one-line description (shown by ``repro-lint --list-rules``).
+#: Rule id -> one-line description (shown by ``repro-lint list-rules``).
 RULES: Dict[str, str] = {
     "RPR001": (
         "wall-clock or unseeded RNG use outside repro.sim.rng named "
@@ -99,6 +121,26 @@ RULES: Dict[str, str] = {
         "time.perf_counter/time.monotonic inside repro.sim, "
         "repro.networks or repro.mpi; wall-clock reads on the kernel "
         "hot path belong to the repro.perf profiler seam"
+    ),
+    "RPR020": (
+        "mixed-dimension arithmetic/comparison: operands carry "
+        "different inferred units (time-us vs time-s, bytes vs time, "
+        "...), which silently corrupts every derived figure"
+    ),
+    "RPR021": (
+        "wrong-dimension argument: the value passed has an inferred "
+        "unit that contradicts the callee parameter's name suffix or "
+        "annotation"
+    ),
+    "RPR022": (
+        "per-event allocation (dict/list/set/tuple/comprehension/"
+        "f-string/closure) on a kernel hot path reachable from the "
+        "event loop, grant paths or disabled telemetry singletons"
+    ),
+    "RPR023": (
+        "random draw that does not provably reach a named seeded "
+        "stream (rng.stream(...)); ambient random/numpy.random "
+        "generators break same-seed reproducibility"
     ),
 }
 

@@ -86,7 +86,6 @@ def execute_run(
             spec.nodes,
             ppn=spec.ppn,
             seed=spec.seed,
-            fabric_radix=spec.fabric_radix,
             topology=spec.topology_spec,
             ib_progress_thread=spec.ib_progress_thread,
             trace=tracer,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,6 +46,11 @@ def _check_json_value(name: str, value: Any) -> None:
     if not isinstance(value, (str, int, float, bool, type(None))):
         raise ConfigurationError(
             f"campaign parameter {name}={value!r} is not a JSON scalar"
+        )
+    # Python's json parses NaN/Infinity; no knob takes one.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(
+            f"campaign parameter {name}={value!r} is not a finite number"
         )
 
 
@@ -90,7 +96,8 @@ class RunSpec:
     #: Application arguments as sorted ``(name, value)`` pairs so the
     #: spec stays hashable; use :attr:`args` for the dict view.
     app_args: Tuple[Tuple[str, Any], ...] = ()
-    #: Optional what-if fabric: two-level fat tree of this radix.
+    #: Optional what-if fabric: shorthand for a two-level fat tree of
+    #: this radix (see :attr:`topology_spec`).
     fabric_radix: Optional[int] = None
     #: InfiniBand asynchronous progress thread (ablation knob).
     ib_progress_thread: bool = False
@@ -100,7 +107,7 @@ class RunSpec:
     faults: Tuple[Tuple[str, Any], ...] = ()
     #: Topology overrides as sorted ``(field, value)`` pairs (see
     #: :class:`repro.topology.TopologySpec`).  Empty means the default
-    #: single-chassis crossbar (or the legacy ``fabric_radix`` tree).
+    #: single-chassis crossbar (or the ``fabric_radix`` tree).
     topology: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -157,7 +164,13 @@ class RunSpec:
 
     @property
     def topology_spec(self) -> Optional[TopologySpec]:
-        """The run's :class:`~repro.topology.TopologySpec`, or ``None``."""
+        """The run's :class:`~repro.topology.TopologySpec`, or ``None``.
+
+        ``fabric_radix=r`` maps to a two-level fat tree of ``r``-port
+        switches, oversubscribed when the nodes outgrow it.
+        """
+        if self.fabric_radix is not None:
+            return TopologySpec(kind="fattree", radix=self.fabric_radix, levels=2)
         if not self.topology:
             return None
         return TopologySpec.from_dict(dict(self.topology))

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
 from ..errors import ConfigurationError
-from ..fabric import CrossbarFabric, TwoLevelFabric
 from ..topology import TopologySpec
 from ..topology.base import Topology
 from ..faults import FaultInjector, FaultPlan, validate_fault_targets
@@ -72,7 +71,6 @@ class Machine:
         ib_params: IBParams = IB_4X,
         elan_params: ElanParams = ELAN_4,
         node_spec: NodeSpec = POWEREDGE_1750,
-        fabric_radix: Optional[int] = None,
         topology: Optional[Any] = None,
         ib_progress_thread: bool = False,
         trace: Optional["Tracer"] = None,
@@ -112,34 +110,16 @@ class Machine:
         self.fault_plan = faults
 
         net_params = ib_params if network == "ib" else elan_params
-        if topology is not None and fabric_radix is not None:
-            raise ConfigurationError(
-                "pass either topology or fabric_radix, not both"
-            )
-        if topology is not None:
-            # The general seam: any repro.topology fabric, declaratively.
-            tspec = (
-                topology
-                if isinstance(topology, TopologySpec)
-                else TopologySpec.from_dict(dict(topology))
-            )
-            self.topology = tspec
-            self.fabric: Topology = tspec.build(
-                self.sim, n_nodes, net_params.fabric
-            )
-        elif fabric_radix is not None:
-            # Legacy what-if knob: a two-level fat tree of
-            # ``fabric_radix``-port switches (extra hop latency, contended
-            # inter-switch links).
-            self.topology = TopologySpec(
-                kind="fattree", radix=fabric_radix, levels=2
-            )
-            self.fabric = TwoLevelFabric(
-                self.sim, n_nodes, net_params.fabric, fabric_radix
-            )
-        else:
-            self.topology = TopologySpec()
-            self.fabric = CrossbarFabric(self.sim, n_nodes, net_params.fabric)
+        # Any repro.topology fabric, declaratively (a TopologySpec or its
+        # dict form); none is the single-chassis crossbar.
+        self.topology = (
+            topology
+            if isinstance(topology, TopologySpec)
+            else TopologySpec.from_dict(dict(topology or {}))
+        )
+        self.fabric: Topology = self.topology.build(
+            self.sim, n_nodes, net_params.fabric
+        )
         # An injector is attached only when the plan can actually fire;
         # a disabled plan leaves every model on its draw-free fast path,
         # keeping no-fault results bit-identical to a plan-less machine.

@@ -34,8 +34,8 @@ from ..base import NetRecord, Nic
 from ..params import ElanParams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...fabric import CrossbarFabric
     from ...sim import Simulator
+    from ...topology.base import Topology
 
 #: Tports wire header (route + context + tag word + size).
 WIRE_HEADER_BYTES = 32
@@ -91,7 +91,7 @@ class ElanNic(Nic):
         self,
         sim: "Simulator",
         node: Node,
-        fabric: "CrossbarFabric",
+        fabric: "Topology",
         params: ElanParams,
     ) -> None:
         super().__init__(

@@ -30,8 +30,8 @@ from ..params import IBParams
 from .memreg import RegistrationCache
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...fabric import CrossbarFabric
     from ...sim import Simulator
+    from ...topology.base import Topology
 
 #: Transport header carried on the wire by every IB message (LRH+BTH+
 #: RETH/immediate, rounded): added to payload for serialization purposes.
@@ -47,7 +47,7 @@ class Hca(Nic):
         self,
         sim: "Simulator",
         node: Node,
-        fabric: "CrossbarFabric",
+        fabric: "Topology",
         params: IBParams,
     ) -> None:
         super().__init__(

@@ -34,11 +34,9 @@ from .diff import (
 from .ladder import (
     LADDER,
     LadderCase,
-    chaos_rows,
     ladder_cases,
     run_case,
     run_ladder,
-    topology_rows,
     write_results,
 )
 from .profiler import (
@@ -58,8 +56,6 @@ __all__ = [
     "ladder_cases",
     "run_case",
     "run_ladder",
-    "topology_rows",
-    "chaos_rows",
     "write_results",
     "compare_results",
     "load_results",

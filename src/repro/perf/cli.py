@@ -1,10 +1,9 @@
 """The ``repro-perf`` console script: run / diff / list.
 
 ``run`` executes the standard workload ladder under the kernel
-profiler and writes ``BENCH_perf.json`` (plus the historical
-``BENCH_topology.json`` / ``BENCH_chaos.json`` next to it, from the
-same runs).  ``diff`` compares two results files and exits nonzero on
-an events/sec regression past the threshold — the CI perf gate.
+profiler and writes ``BENCH_perf.json``.  ``diff`` compares two results
+files and exits nonzero on an events/sec regression past the threshold
+— the CI perf gate.
 
 Examples::
 
@@ -45,8 +44,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             lambda line: print(line, file=sys.stderr)
         ),
     )
-    legacy_root = None if args.no_legacy else out.parent
-    write_results(rows, out, legacy_root=legacy_root)
+    write_results(rows, out)
     print(f"{'case':>22} {'events':>10} {'wall_s':>8} {'events/sec':>12}")
     for row in rows:
         print(
@@ -128,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write <case>.kernel.trace.json Chrome-trace kernel "
         "attribution here",
-    )
-    run.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="skip re-emitting BENCH_topology.json / BENCH_chaos.json "
-        "next to the output file",
     )
     run.add_argument(
         "--quiet", action="store_true", help="suppress per-case progress"

@@ -4,10 +4,8 @@ Each rung is one simulation the repo already cares about — the
 far-rank ping-pong on three fabrics, b_eff rings, a Sweep3D wavefront,
 and the degraded-fabric failover case — run under the
 :class:`~.profiler.KernelProfiler` and reduced to an events/sec row.
-``repro-perf run`` emits the rows as ``BENCH_perf.json`` (the
-trajectory file ``repro-perf diff`` gates against) and re-emits the
-historical ``BENCH_topology.json`` / ``BENCH_chaos.json`` files from
-the same runs, so the pre-ladder trend lines continue unbroken.
+``repro-perf run`` emits the rows as ``BENCH_perf.json``, the one
+trajectory file ``repro-perf diff`` gates against.
 
 Case labels are stable identifiers: the diff gate matches baseline to
 current rows by ``case``, so renaming a rung resets its trajectory.
@@ -85,8 +83,8 @@ class LadderCase:
 
 
 #: The standard ladder.  Labels ``crossbar-64``/``fattree-256`` and
-#: ``degraded-fattree-64`` predate the ladder (bench_perf.py used them
-#: in BENCH_topology.json / BENCH_chaos.json) and must not change.
+#: ``degraded-fattree-64`` predate the ladder (``benchmarks/bench_perf.py``
+#: runs them by name) and must not change.
 LADDER: List[LadderCase] = [
     LadderCase(
         name="crossbar-64",
@@ -401,80 +399,9 @@ def run_ladder(
 
 # -- emission ----------------------------------------------------------------
 
-#: Historical BENCH_topology.json row shape (bench_perf.py's _measure).
-_TOPOLOGY_KEYS = (
-    "case",
-    "topology",
-    "nodes",
-    "repetitions",
-    "latency_us",
-    "elapsed_us",
-    "window_start_us",
-    "failovers",
-    "events",
-    "wall_s",
-    "events_per_sec",
-)
 
-#: Historical BENCH_chaos.json row shape (_measure_degraded).
-_CHAOS_KEYS = (
-    "case",
-    "topology",
-    "nodes",
-    "repetitions",
-    "dead_link",
-    "kill_at_us",
-    "pristine_latency_us",
-    "degraded_latency_us",
-    "bw_ratio",
-    "failovers",
-    "events",
-    "wall_s",
-    "events_per_sec",
-)
-
-#: Rows re-emitted into the historical trajectory files.
-TOPOLOGY_CASES = ("crossbar-64", "fattree-256")
-CHAOS_CASES = ("degraded-fattree-64",)
-
-
-def _project(row: Dict[str, Any], keys: Sequence[str]) -> Dict[str, Any]:
-    return {k: row[k] for k in keys if k in row}
-
-
-def topology_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The BENCH_topology.json projection of the ladder rows."""
-    by_case = {r["case"]: r for r in rows}
-    return [
-        _project(by_case[name], _TOPOLOGY_KEYS)
-        for name in TOPOLOGY_CASES
-        if name in by_case
-    ]
-
-
-def chaos_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The BENCH_chaos.json projection of the ladder rows."""
-    by_case = {r["case"]: r for r in rows}
-    return [
-        _project(by_case[name], _CHAOS_KEYS)
-        for name in CHAOS_CASES
-        if name in by_case
-    ]
-
-
-def write_results(
-    rows: List[Dict[str, Any]],
-    out: Path,
-    legacy_root: Optional[Path] = None,
-) -> Dict[str, Any]:
-    """Write ``BENCH_perf.json`` (and the legacy trajectory files).
-
-    ``out`` receives the unified document.  When ``legacy_root`` is
-    given, the topology and chaos rows are also projected onto their
-    historical shapes and written as ``BENCH_topology.json`` /
-    ``BENCH_chaos.json`` under it — same file names, same keys, one
-    code path.
-    """
+def write_results(rows: List[Dict[str, Any]], out: Path) -> Dict[str, Any]:
+    """Write the rows to ``out`` as the ``BENCH_perf.json`` document."""
     doc = {
         "schema": "repro.perf/1",
         "quick": bool(rows) and all(r.get("quick", False) for r in rows),
@@ -483,16 +410,4 @@ def write_results(
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    if legacy_root is not None:
-        legacy_root = Path(legacy_root)
-        topo = topology_rows(rows)
-        if topo:
-            (legacy_root / "BENCH_topology.json").write_text(
-                json.dumps(topo, indent=2) + "\n"
-            )
-        chaos = chaos_rows(rows)
-        if chaos:
-            (legacy_root / "BENCH_chaos.json").write_text(
-                json.dumps(chaos, indent=2) + "\n"
-            )
     return doc

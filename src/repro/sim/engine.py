@@ -114,7 +114,7 @@ class Simulator:
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))  # repro-audit: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        heapq.heappush(self._heap, (self._now + delay, self._seq, event))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
         if self.profiler is not None:
             self.profiler.heap_pushes += 1
 
@@ -264,7 +264,7 @@ class Simulator:
                 t, _seq, event = heapq.heappop(self._heap)
                 if until is not None and t > until:
                     # Put it back: the caller may resume later.
-                    heapq.heappush(self._heap, (t, _seq, event))  # repro-audit: disable=RPR022 -- put-back of the already-popped heap entry, once per run() return
+                    heapq.heappush(self._heap, (t, _seq, event))  # repro-lint: disable=RPR022 -- put-back of the already-popped heap entry, once per run() return
                     self._now = until
                     break
                 self._now = t

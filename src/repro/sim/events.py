@@ -87,7 +87,7 @@ class Event:
         # push in the kernel.
         sim = self.sim
         sim._seq += 1
-        heappush(sim._heap, (sim._now, sim._seq, self))  # repro-audit: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        heappush(sim._heap, (sim._now, sim._seq, self))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
         if sim.profiler is not None:
             sim.profiler.heap_pushes += 1
         return self
@@ -182,13 +182,13 @@ class Timeout(Event):
         # Event.__init__ and Simulator._schedule_event inlined: a
         # timeout is born triggered and scheduled.
         self.sim = sim
-        self.callbacks = []  # repro-audit: disable=RPR022 -- every event owns its callback list
+        self.callbacks = []  # repro-lint: disable=RPR022 -- every event owns its callback list
         self._value = value
         self._exception = None
         self.key = None
         self.delay = delay
         sim._seq += 1
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))  # repro-audit: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
         if sim.profiler is not None:
             sim.profiler.heap_pushes += 1
 

@@ -46,7 +46,7 @@ class Process(Event):
             )
         # Event.__init__ inlined (see Event).
         self.sim = sim
-        self.callbacks = []  # repro-audit: disable=RPR022 -- every event owns its callback list
+        self.callbacks = []  # repro-lint: disable=RPR022 -- every event owns its callback list
         self._value = _PENDING
         self._exception = None
         self.key = None
@@ -97,7 +97,7 @@ class Process(Event):
             return
         if not isinstance(target, Event):
             exc2 = SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "  # repro-audit: disable=RPR022 -- crash path: a bad yield ends the process
+                f"process {self.name!r} yielded {target!r}; processes must "  # repro-lint: disable=RPR022 -- crash path: a bad yield ends the process
                 "yield Event/Process objects (use sim.timeout(dt) to sleep)"
             )
             self.generator.close()

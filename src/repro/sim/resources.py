@@ -128,7 +128,7 @@ class FifoResource:
         if self._in_use < self.capacity and not self._waiters:
             self._grant(ev, now)
         else:
-            self._waiters.append((ev, now))  # repro-audit: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
+            self._waiters.append((ev, now))  # repro-lint: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
             if len(self._waiters) > self.queue_hwm:
                 self.queue_hwm = len(self._waiters)
         return ev
@@ -290,7 +290,7 @@ class Store:
         ev.key = (
             self._delivery_seq
             if ev.key is None
-            else (ev.key, self._delivery_seq)  # repro-audit: disable=RPR022 -- sanitizer tiebreak stamp, sanctioned per delivery
+            else (ev.key, self._delivery_seq)  # repro-lint: disable=RPR022 -- sanitizer tiebreak stamp, sanctioned per delivery
         )
 
     def cancel_get(self, ev: Event) -> None:

@@ -12,15 +12,15 @@ parsed here, once, at validation time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fabric.fabric import FabricSpec
     from ..sim import Simulator
-    from .base import Topology
+    from .base import FabricSpec, Topology
 
 #: Topology kinds a spec may name.
 KINDS = ("crossbar", "fattree", "torus")
@@ -99,10 +99,10 @@ class TopologySpec:
             vals = tuple(float(p) for p in self.dim_latency.split(","))
         except ValueError:
             vals = ()
-        if len(vals) != 3 or any(v < 0 for v in vals):
+        if len(vals) != 3 or not all(math.isfinite(v) and v >= 0 for v in vals):
             raise ConfigurationError(
-                "dim_latency must be three non-negative numbers like "
-                f"'0.1,0.1,0.3', got {self.dim_latency!r}"
+                "dim_latency must be three finite non-negative numbers "
+                f"like '0.1,0.1,0.3', got {self.dim_latency!r}"
             )
         return vals
 

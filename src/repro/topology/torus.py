@@ -25,10 +25,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim import Stage
-from .base import Topology
+from .base import FabricSpec, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fabric.fabric import FabricSpec
     from ..sim import Simulator
 
 _AXES = ("x", "y", "z")

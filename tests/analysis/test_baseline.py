@@ -187,10 +187,13 @@ class TestAcceptance:
     ``mvapich/impl.py`` and require the right rule ids at the right lines."""
 
     def test_shipped_tree_is_clean(self, capsys):
+        # The CI gate's paths: the package, the benchmarks and examples.
         assert (
             main(
                 [
                     str(REPO_ROOT / "src" / "repro"),
+                    str(REPO_ROOT / "benchmarks"),
+                    str(REPO_ROOT / "examples"),
                     "--baseline",
                     str(REPO_ROOT / ".repro-lint-baseline.json"),
                 ]

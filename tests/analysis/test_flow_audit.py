@@ -1,10 +1,12 @@
-"""Seeded-bug probes and the CLI contract for ``repro-audit``.
+"""Seeded-bug probes for the whole-program passes, and ``repro-lint``'s
+CLI contract on their findings.
 
 Each probe plants one specific cross-module hazard in a scratch tree
 shaped like the real one (``src/repro/...``) and asserts the matching
 pass reports it — rule id, file and semantics — while the surrounding
-clean code stays silent.  A final class pins the determinism contract:
-two audits of one tree are byte-identical.
+clean code stays silent.  :class:`TestDeterminism` pins two audits of
+one tree as byte-identical; :class:`TestAuditCli` runs the one CLI on an
+RPR02x finding (``test_baseline.TestCli`` covers an RPR00x finding).
 """
 
 import textwrap
@@ -13,9 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import Baseline
+from repro.analysis.cli import main
 from repro.analysis.flow import DEFAULT_HOT_ROOTS, SymbolTable, audit_paths
 from repro.analysis.flow.allocations import UnresolvedRootError, expand_roots
-from repro.analysis.flow.cli import main
 from repro.analysis.reporters import render_json
 
 
@@ -143,7 +145,7 @@ class TestUnitsPass:
         findings = audit(tmp_path, {
             "m.py": """
                 def total(latency_us, timeout_s):
-                    return latency_us + timeout_s  # repro-audit: disable=RPR020 -- probe
+                    return latency_us + timeout_s  # repro-lint: disable=RPR020 -- probe
             """,
         })
         assert findings == []
@@ -243,7 +245,7 @@ class TestAllocationPass:
             "kernel.py": """
                 class Simulator:
                     def run(self):
-                        self._heap.append((self._now, self._seq))  # repro-audit: disable=RPR022 -- heap entry
+                        self._heap.append((self._now, self._seq))  # repro-lint: disable=RPR022 -- heap entry
             """,
         })
         assert findings == []
@@ -486,5 +488,5 @@ class TestAuditCli:
     def test_real_tree_is_clean(self):
         repo_root = Path(__file__).resolve().parents[2]
         src = repo_root / "src"
-        baseline = repo_root / ".repro-audit-baseline.json"
+        baseline = repo_root / ".repro-lint-baseline.json"
         assert main([str(src), "--baseline", str(baseline)]) == 0

@@ -98,6 +98,24 @@ def test_non_scalar_app_arg_rejected():
                 app_args=(("sizes", [1, 2]),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field,axis", [
+    ("app_args", "app_args.size"),
+    ("faults", "fault.ber"),
+    ("topology", "topology.radix"),
+])
+def test_non_finite_values_rejected(field, axis, bad):
+    # json.loads admits NaN/Infinity; no knob takes one, so they fail
+    # when the spec is declared, never in a worker.
+    name = axis.split(".")[1]
+    with pytest.raises(ConfigurationError, match="not a finite number"):
+        RunSpec.from_dict(
+            {"app": "pingpong", "network": "ib", "nodes": 2, field: {name: bad}}
+        )
+    with pytest.raises(ConfigurationError, match="not a finite number"):
+        small_campaign(grid={"network": ["ib"], axis: [bad]}).expand()
+
+
 def test_from_file_roundtrip(tmp_path):
     import json
 

@@ -1,15 +1,10 @@
-"""Unit tests for crossbar and two-level fabrics."""
+"""Unit tests for the crossbar and two-level fat-tree fabrics."""
 
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.fabric import (
-    CrossbarFabric,
-    FabricSpec,
-    TwoLevelFabric,
-    routes_are_deterministic,
-)
 from repro.sim import Simulator, transfer
+from repro.topology import CrossbarTopology, FabricSpec, FatTreeTopology
 
 SPEC = FabricSpec(link_bandwidth=1000.0, cable_latency=0.1, switch_latency=0.2, mtu=2048)
 
@@ -25,14 +20,14 @@ def test_spec_validation():
 
 def test_crossbar_loopback_has_no_wire_stages():
     sim = Simulator()
-    f = CrossbarFabric(sim, 4, SPEC)
+    f = CrossbarTopology(sim, 4, SPEC)
     assert f.wire_stages(2, 2) == []
     assert f.path_latency(2, 2) == 0.0
 
 
 def test_crossbar_distinct_nodes_two_stages():
     sim = Simulator()
-    f = CrossbarFabric(sim, 4, SPEC)
+    f = CrossbarTopology(sim, 4, SPEC)
     stages = f.wire_stages(0, 3)
     assert len(stages) == 2
     assert stages[0].resource is f.uplinks[0]
@@ -41,13 +36,13 @@ def test_crossbar_distinct_nodes_two_stages():
 
 def test_crossbar_path_latency():
     sim = Simulator()
-    f = CrossbarFabric(sim, 4, SPEC)
+    f = CrossbarTopology(sim, 4, SPEC)
     assert f.path_latency(0, 1) == pytest.approx(0.4)  # 2 cables + 1 switch
 
 
 def test_crossbar_rejects_out_of_range():
     sim = Simulator()
-    f = CrossbarFabric(sim, 4, SPEC)
+    f = CrossbarTopology(sim, 4, SPEC)
     with pytest.raises(NetworkError):
         f.wire_stages(0, 4)
     with pytest.raises(NetworkError):
@@ -57,7 +52,7 @@ def test_crossbar_rejects_out_of_range():
 def test_output_port_contention():
     """Two senders to one destination serialize on its downlink."""
     sim = Simulator()
-    f = CrossbarFabric(sim, 3, SPEC)
+    f = CrossbarTopology(sim, 3, SPEC)
     ends = []
 
     def send(src):
@@ -74,7 +69,7 @@ def test_output_port_contention():
 
 def test_distinct_destinations_run_parallel():
     sim = Simulator()
-    f = CrossbarFabric(sim, 4, SPEC)
+    f = CrossbarTopology(sim, 4, SPEC)
     ends = []
 
     def send(src, dst):
@@ -87,9 +82,13 @@ def test_distinct_destinations_run_parallel():
     assert max(ends) - min(ends) < 1.0
 
 
+def two_level(sim, n_nodes, radix):
+    return FatTreeTopology(sim, n_nodes, SPEC, radix=radix, levels=2)
+
+
 def test_two_level_same_leaf_is_single_hop():
     sim = Simulator()
-    f = TwoLevelFabric(sim, 32, SPEC, radix=8)  # 4 nodes per leaf
+    f = two_level(sim, 32, radix=8)  # 4 nodes per leaf
     assert f.leaf_of(0) == f.leaf_of(3)
     assert len(f.wire_stages(0, 3)) == 2
     assert f.path_latency(0, 3) == pytest.approx(0.4)
@@ -97,7 +96,7 @@ def test_two_level_same_leaf_is_single_hop():
 
 def test_two_level_cross_leaf_is_three_hops():
     sim = Simulator()
-    f = TwoLevelFabric(sim, 32, SPEC, radix=8)
+    f = two_level(sim, 32, radix=8)
     stages = f.wire_stages(0, 10)
     assert len(stages) == 4
     assert f.path_latency(0, 10) == pytest.approx(4 * 0.1 + 3 * 0.2)
@@ -107,19 +106,22 @@ def test_two_level_cross_leaf_is_three_hops():
 def test_two_level_radix_validation():
     sim = Simulator()
     with pytest.raises(ConfigurationError):
-        TwoLevelFabric(sim, 8, SPEC, radix=3)
+        two_level(sim, 8, radix=3)
     with pytest.raises(ConfigurationError):
-        TwoLevelFabric(sim, 8, SPEC, radix=2)
+        two_level(sim, 8, radix=2)
 
 
 def test_routes_deterministic_property():
     sim = Simulator()
-    f = TwoLevelFabric(sim, 64, SPEC, radix=8)
+    f = two_level(sim, 64, radix=8)
     pairs = [(a, b) for a in range(0, 64, 7) for b in range(0, 64, 11) if a != b]
-    assert routes_are_deterministic(f, pairs)
+    for src, dst in pairs:
+        f.wire_stages(src, dst)
+    # Compares every cached route with a fresh one, and repeat lookups.
+    assert f.check_invariants() == []
 
 
 def test_crossbar_needs_a_node():
     sim = Simulator()
     with pytest.raises(ConfigurationError):
-        CrossbarFabric(sim, 0, SPEC)
+        CrossbarTopology(sim, 0, SPEC)

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.errors import NetworkError, QueuePairError
-from repro.fabric import CrossbarFabric
 from repro.hardware import Node
 from repro.networks.base import NetRecord
 from repro.networks.ib import Hca
 from repro.networks.params import IBParams
 from repro.sim import Simulator
+from repro.topology import CrossbarTopology
 
 
 def make_pair():
     sim = Simulator()
     params = IBParams()
-    fabric = CrossbarFabric(sim, 2, params.fabric)
+    fabric = CrossbarTopology(sim, 2, params.fabric)
     nodes = [Node(sim, i) for i in range(2)]
     hcas = [Hca(sim, nodes[i], fabric, params) for i in range(2)]
     inboxes = [hcas[0].attach_rank(0), hcas[1].attach_rank(1)]

@@ -1,23 +1,10 @@
-"""The perf ladder: rung execution, row shape, legacy projections."""
+"""The perf ladder: rung execution, row shape, the results file."""
 
 import json
 
 import pytest
 
-from repro.perf import (
-    LADDER,
-    chaos_rows,
-    ladder_cases,
-    run_case,
-    topology_rows,
-    write_results,
-)
-from repro.perf.ladder import (
-    CHAOS_CASES,
-    TOPOLOGY_CASES,
-    _CHAOS_KEYS,
-    _TOPOLOGY_KEYS,
-)
+from repro.perf import LADDER, ladder_cases, run_case, write_results
 
 pytestmark = pytest.mark.perf
 
@@ -45,9 +32,8 @@ def crossbar_row():
 def test_ladder_case_names_are_unique_and_stable():
     names = [case.name for case in LADDER]
     assert len(names) == len(set(names))
-    # The diff gate and the legacy projections join on these labels.
-    assert set(TOPOLOGY_CASES) <= set(names)
-    assert set(CHAOS_CASES) <= set(names)
+    # The diff gate and benchmarks/bench_perf.py join on these labels.
+    assert {"crossbar-64", "fattree-256", "degraded-fattree-64"} <= set(names)
     assert len(names) >= 5
 
 
@@ -93,7 +79,7 @@ def test_sample_mode_writes_flamegraph_and_chrome(tmp_path, crossbar_row):
     assert doc["otherData"]["kind"] == "kernel-profile"
 
 
-# -- emission (synthetic rows: projection logic, not simulation) --------------
+# -- emission (synthetic rows, not simulation) --------------------------------
 
 
 def _fake_row(name, **extra):
@@ -107,64 +93,32 @@ def _fake_row(name, **extra):
         "events": 1000,
         "wall_s": 0.5,
         "events_per_sec": 2000,
-        "repetitions": 50,
-        "latency_us": 10.0,
-        "elapsed_us": 100.0,
-        "window_start_us": 1.0,
-        "failovers": 0,
         "perf": {"events": 1000},
     }
     row.update(extra)
     return row
 
 
-def _fake_ladder():
-    return [
-        _fake_row("crossbar-64"),
-        _fake_row("fattree-256", topology="TopologySpec(kind=fattree, radix=16)"),
-        _fake_row("torus-64"),
-        _fake_row(
-            "degraded-fattree-64",
-            dead_link="isl0",
-            kill_at_us=50.0,
-            pristine_latency_us=9.0,
-            degraded_latency_us=11.0,
-            bw_ratio=0.9,
-            failovers=1,
-            pristine_wall_s=0.4,
-        ),
-    ]
-
-
-def test_projections_keep_historical_shapes():
-    rows = _fake_ladder()
-    topo = topology_rows(rows)
-    assert [r["case"] for r in topo] == list(TOPOLOGY_CASES)
-    assert all(tuple(r) == _TOPOLOGY_KEYS for r in topo)
-    chaos = chaos_rows(rows)
-    assert [r["case"] for r in chaos] == list(CHAOS_CASES)
-    assert all(tuple(r) == _CHAOS_KEYS for r in chaos)
-    # The perf block never leaks into the legacy files.
-    assert all("perf" not in r for r in topo + chaos)
-
-
 def test_write_results_emits_unified_and_legacy_files(tmp_path):
-    rows = _fake_ladder()
+    # BENCH_perf.json is the one perf file; the retired BENCH_topology.json
+    # and BENCH_chaos.json projections are no longer written beside it.
+    rows = [
+        _fake_row("crossbar-64"),
+        _fake_row("degraded-fattree-64", bw_ratio=0.9, failovers=1),
+    ]
     out = tmp_path / "BENCH_perf.json"
-    doc = write_results(rows, out, legacy_root=tmp_path)
+    doc = write_results(rows, out)
     assert json.loads(out.read_text()) == doc
     assert doc["schema"] == "repro.perf/1"
     assert doc["quick"] is True
     assert doc["cases"] == rows
-    topo = json.loads((tmp_path / "BENCH_topology.json").read_text())
-    assert [r["case"] for r in topo] == list(TOPOLOGY_CASES)
-    chaos = json.loads((tmp_path / "BENCH_chaos.json").read_text())
-    assert [r["case"] for r in chaos] == list(CHAOS_CASES)
+    assert not (tmp_path / "BENCH_topology.json").exists()
+    assert not (tmp_path / "BENCH_chaos.json").exists()
 
 
 def test_write_results_without_legacy_root(tmp_path):
     out = tmp_path / "sub" / "BENCH_perf.json"
     write_results([_fake_row("crossbar-64")], out)
     assert out.exists()
-    assert not (tmp_path / "BENCH_topology.json").exists()
-    assert not (tmp_path / "sub" / "BENCH_topology.json").exists()
+    # The parent directory is created and nothing is written beside the file.
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["BENCH_perf.json", "sub"]

@@ -298,6 +298,25 @@ def test_wait_s_must_be_a_finite_non_negative_number(service):
     assert service.state.scheduler.stats["scheduled"] == scheduled
 
 
+def test_non_finite_spec_values_are_400(service):
+    """JSON admits NaN; a NaN app arg must not reach a worker."""
+    scheduled = service.state.scheduler.stats["scheduled"]
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        body = (
+            '{"spec": {"app": "pingpong", "network": "ib", "nodes": 2, '
+            f'"app_args": {{"size": {bad}}}}}, "wait_s": 20}}'
+        )
+        req = urllib.request.Request(
+            service.url + "/v1/runs", method="POST", data=body.encode(),
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 400
+        assert "not a finite number" in json.loads(err.value.read())["error"]
+    # Rejected at the boundary: nothing was scheduled.
+    assert service.state.scheduler.stats["scheduled"] == scheduled
+
+
 def test_wait_s_blocks_until_done(service):
     spec = dict(SPEC, app_args={"size": 2048})
     status, body = http(

@@ -44,6 +44,10 @@ SPECS: Dict[str, Dict[str, Any]] = {
         "app": "sweep3d", "network": "ib", "nodes": 16,
         "app_args": {"n": 16}, "topology": {"kind": "fattree", "radix": 4},
     },
+    "ib-sweep3d-radix4": {
+        "app": "sweep3d", "network": "ib", "nodes": 16,
+        "app_args": {"n": 16}, "fabric_radix": 4,
+    },
     "elan-sweep3d-torus16": {
         "app": "sweep3d", "network": "elan", "nodes": 16,
         "app_args": {"n": 16}, "topology": {"kind": "torus", "dims": "2x2x4"},

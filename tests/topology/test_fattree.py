@@ -4,9 +4,8 @@ import pytest
 
 from repro.cost import fat_tree, max_fat_tree_nodes
 from repro.errors import ConfigurationError
-from repro.fabric import FabricSpec, TwoLevelFabric
 from repro.sim import Simulator
-from repro.topology import FatTreeTopology
+from repro.topology import FabricSpec, FatTreeTopology, TopologySpec
 
 pytestmark = pytest.mark.topology
 
@@ -56,12 +55,14 @@ def test_level2_route_is_d_mod_k():
 
 def test_level2_oversubscribed_keeps_legacy_arithmetic():
     # 64 nodes on radix-8 switches exceeds full-bisection capacity but
-    # stays buildable as an oversubscribed Clos (the TwoLevelFabric pin).
+    # stays buildable as an oversubscribed Clos (the fabric_radix pin).
     topo = build(64, 8, levels=2)
     assert topo.n_leaves == 16 and topo.n_spines == 8
-    legacy = TwoLevelFabric(Simulator(), 64, SPEC, radix=8)
+    legacy = TopologySpec(kind="fattree", radix=8, levels=2).build(
+        Simulator(), 64, SPEC
+    )
     assert legacy.n_leaves == 16 and legacy.n_spines == 8
-    assert isinstance(legacy, FatTreeTopology)
+    assert type(legacy) is FatTreeTopology
 
 
 def test_level3_routes():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import FaultPlan, Machine
+from repro.campaign import RunSpec
+from repro.errors import ConfigurationError
 from repro.microbench.pingpong import pingpong_program
 from repro.topology import TopologySpec
 
@@ -116,16 +118,18 @@ def test_link_occupancy_appears_in_telemetry():
 
 
 def test_topology_and_fabric_radix_are_mutually_exclusive():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        Machine("elan", 8, fabric_radix=4, topology=TopologySpec())
+    with pytest.raises(ConfigurationError, match="not both"):
+        RunSpec(
+            app="pingpong", network="elan", nodes=8, fabric_radix=4,
+            topology=(("kind", "crossbar"),),
+        )
 
 
 def test_machine_records_its_topology_spec():
     m = Machine("elan", 4)
     assert m.topology == TopologySpec()
-    m = Machine("elan", 8, fabric_radix=4)
+    spec = RunSpec(app="pingpong", network="elan", nodes=8, fabric_radix=4)
+    m = Machine("elan", 8, topology=spec.topology_spec)
     assert m.topology == TopologySpec(kind="fattree", radix=4, levels=2)
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.campaign import RunSpec
 from repro.errors import ConfigurationError
-from repro.fabric import FabricSpec
 from repro.sim import Simulator
 from repro.topology import (
     CrossbarTopology,
+    FabricSpec,
     FatTreeTopology,
     TopologySpec,
     TorusTopology,
@@ -61,6 +62,20 @@ def test_torus_spec_parses_dims_and_latencies():
 def test_bad_specs_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         TopologySpec(**kwargs)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_torus_latency_rejected(bad):
+    # float() parses these; a NaN hop latency would build and then
+    # crash the run mid-flight.
+    dim_latency = f"{bad},0.1,0.1"
+    with pytest.raises(ConfigurationError, match="finite"):
+        TopologySpec(kind="torus", dim_latency=dim_latency)
+    with pytest.raises(ConfigurationError, match="finite"):
+        RunSpec(
+            app="pingpong", network="elan", nodes=8,
+            topology=(("kind", "torus"), ("dim_latency", dim_latency)),
+        )
 
 
 def test_round_trips_through_dict():

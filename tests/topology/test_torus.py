@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fabric import FabricSpec
 from repro.sim import Simulator
-from repro.topology import TorusTopology
+from repro.topology import FabricSpec, TorusTopology
 from repro.topology.torus import auto_dims
 
 pytestmark = pytest.mark.topology
