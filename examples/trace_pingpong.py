@@ -2,10 +2,11 @@
 """Telemetry walkthrough: counters, timelines and Chrome trace export.
 
 Runs the same 64 KB ping-pong on both simulated interconnects with full
-telemetry (metrics registry + timeline), prints the protocol counters
-that explain the paper's mechanisms side by side, and writes one Chrome
-``trace_event`` JSON per technology — open them in ``chrome://tracing``
-or https://ui.perfetto.dev to see per-resource occupancy over time.
+telemetry (metrics registry + timeline + protocol trace log), prints
+the protocol counters that explain the paper's mechanisms side by side,
+and writes one Chrome ``trace_event`` JSON per technology — open them
+in ``chrome://tracing`` or https://ui.perfetto.dev to see per-resource
+occupancy and the protocol events over time.
 
 Run:  python examples/trace_pingpong.py [output-dir]
 """
@@ -15,7 +16,6 @@ from pathlib import Path
 
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import NETWORK_LABELS, Machine
-from repro.sim import Tracer
 from repro.telemetry import Telemetry
 
 
@@ -41,8 +41,7 @@ def main() -> int:
             network,
             2,
             seed=0,
-            trace=Tracer(enabled=True),
-            telemetry=Telemetry(metrics=True, timeline=True),
+            telemetry=Telemetry(metrics=True, timeline=True, trace=True),
         )
         result = machine.run(pingpong_program(size=65536, repetitions=10))
         print(f"\n{NETWORK_LABELS[network]}  (elapsed {result.elapsed_us:.1f} us)")

@@ -9,9 +9,10 @@ model happened to schedule first.  Any refactor that reorders scheduling
 upstream silently swaps them — the discrete-event analogue of a data
 race on real NIC-side protocol state.
 
-:class:`RaceSanitizer` makes that hazard visible.  Attach one to a
-:class:`~repro.sim.Simulator` (``Simulator(sanitizer=RaceSanitizer())``
-or ``Machine(..., sanitizer=True)``) and it observes every event pop.
+:class:`RaceSanitizer` makes that hazard visible.  It is a kernel
+observer: attach one to a :class:`~repro.sim.Simulator`
+(``Simulator(observers=[RaceSanitizer()])`` or ``Machine(...,
+sanitizer=True)``) and it sees every event pop.
 Whenever two or more events fire at the same timestamp against the same
 :meth:`~repro.sim.events.Event.race_scope` (a ``FifoResource`` or
 ``Store``), it checks their semantic tiebreak keys
@@ -75,9 +76,11 @@ class OrderViolation:
 class RaceSanitizer:
     """Observes event pops; collects :class:`RaceFinding` objects.
 
-    One instance per run.  Pass it to ``Simulator(sanitizer=...)``; read
-    :attr:`findings` (bounded) and :attr:`race_count` (exact) after the
-    run, or call :meth:`report` for a human-readable summary.
+    One instance per simulator, passed in its ``observers`` list.  Each
+    timestamp's group is judged when the clock moves on, and the last
+    one when the run exits, so :attr:`findings` (bounded),
+    :attr:`race_count` (exact) and :attr:`clean` are final once
+    ``run()`` returns; :meth:`report` renders them.
     """
 
     def __init__(self) -> None:
@@ -94,9 +97,12 @@ class RaceSanitizer:
         #: and no scope object is ever compared/ordered.
         self._groups: Dict[int, Tuple[Any, List[Tuple[int, Any]]]] = {}
 
-    # -- kernel-facing ------------------------------------------------------
+    # -- kernel observer ----------------------------------------------------
 
-    def observe(self, t: float, seq: int, event: Any) -> None:
+    def on_run_enter(self, sim: Any) -> None:
+        """Nothing to set up."""
+
+    def on_pop(self, t: float, seq: int, event: Any) -> None:
         """Called by the simulator loop for every popped event."""
         self.events_observed += 1
         if (t, seq) < self._last:
@@ -116,8 +122,12 @@ class RaceSanitizer:
         else:
             group[1].append((seq, event))
 
-    def finish(self) -> None:
-        """Flush the final timestamp group (call after the run ends)."""
+    def on_run_exit(self, sim: Any) -> None:
+        """Judge the last timestamp group, so results are final.
+
+        A run that stops mid-timestamp (``until_process``) and resumes
+        has that timestamp judged as two groups.
+        """
         self._flush()
 
     # -- analysis -----------------------------------------------------------
@@ -171,7 +181,6 @@ class RaceSanitizer:
 
     def report(self) -> str:
         """Multi-line human-readable summary of everything observed."""
-        self._flush()
         lines = [
             f"race sanitizer: {self.events_observed} events observed, "
             f"{self.race_count} race(s), "

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 
 from ..faults.recovery import root_fault
 from ..mpi import Machine
-from ..sim import Tracer
 from ..telemetry import Telemetry
 from ..version import __version__
 from .programs import build_program
@@ -59,7 +58,9 @@ def execute_run(
     collects message spans and occupancy series, folding them into the
     record as a ``blame`` table and a resampled ``series`` block — both
     deterministic, so cached and fresh records stay byte-identical.
-    ``profile`` attaches a :class:`~repro.perf.KernelProfiler` and adds
+    ``trace`` turns on the telemetry trace log and adds its
+    per-category counts as a ``trace_summary`` block.  ``profile``
+    attaches a :class:`~repro.perf.KernelProfiler` and adds
     its compact summary as a ``perf`` block; the summary carries host
     wall times, so profiled records are *not* byte-stable across runs —
     which is why the flag is off by default and never set by the batch
@@ -73,7 +74,16 @@ def execute_run(
         "label": spec.label(),
         "version": __version__,
     }
-    tracer = Tracer(enabled=True) if trace else None
+    # Metrics are deterministic, cheap and picklable; every campaign
+    # record carries them (timeline stays off — spans are bulky and
+    # reconstructable by re-running with tracing).
+    telemetry = Telemetry(
+        metrics=True,
+        timeline=False,
+        lifecycle=lifecycle,
+        series=lifecycle,
+        trace=trace,
+    )
     machine: Optional[Machine] = None
     profiler = None
     if profile:
@@ -88,18 +98,9 @@ def execute_run(
             seed=spec.seed,
             topology=spec.topology_spec,
             ib_progress_thread=spec.ib_progress_thread,
-            trace=tracer,
             faults=spec.fault_plan,
             profiler=profiler,
-            # Metrics are deterministic, cheap and picklable; every
-            # campaign record carries them (timeline stays off — spans
-            # are bulky and reconstructable by re-running with tracing).
-            telemetry=Telemetry(
-                metrics=True,
-                timeline=False,
-                lifecycle=lifecycle,
-                series=lifecycle,
-            ),
+            telemetry=telemetry,
         )
         result = machine.run(
             build_program(spec.app, spec.args),
@@ -136,6 +137,6 @@ def execute_run(
     if profiler is not None:
         record["perf"] = profiler.summary()
     record["wall_s"] = time.perf_counter() - t0  # repro-lint: disable=RPR001
-    if tracer is not None:
-        record["trace_summary"] = tracer.summary()
+    if trace:
+        record["trace_summary"] = telemetry.trace.summary()
     return record

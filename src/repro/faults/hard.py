@@ -103,8 +103,8 @@ class HardFaultState:
         self.events_applied += 1
         sim.trace.log(
             sim.now, "fault.hard",
-            f"{event.kind} {event.target} "
-            f"({len(names)} link(s), scheduled t={event.at_us:g}us)",
+            "{0.kind} {0.target} ({1} link(s), scheduled t={0.at_us:g}us)",
+            event, len(names),
         )
 
     # -- queries -----------------------------------------------------------

@@ -19,7 +19,7 @@ from ..hardware import Node, NodeSpec, POWEREDGE_1750
 from ..networks.elan import ElanNic
 from ..networks.ib import Hca
 from ..networks.params import ELAN_4, IB_4X, ElanParams, IBParams
-from ..sim import Simulator, Tracer
+from ..sim import Simulator
 from ..telemetry import Telemetry
 from ..telemetry.chrome import chrome_trace, write_chrome_trace
 from ..telemetry.collect import snapshot
@@ -73,7 +73,6 @@ class Machine:
         node_spec: NodeSpec = POWEREDGE_1750,
         topology: Optional[Any] = None,
         ib_progress_thread: bool = False,
-        trace: Optional["Tracer"] = None,
         faults: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
         sanitizer: bool = False,
@@ -100,9 +99,13 @@ class Machine:
             from ..analysis import RaceSanitizer
 
             self.sanitizer = RaceSanitizer()
+        # Both ride the kernel's one observer list; a machine with
+        # neither runs the bare loop.
+        observers = [
+            obs for obs in (self.sanitizer, profiler) if obs is not None
+        ]
         self.sim = Simulator(
-            seed=seed, trace=trace, telemetry=telemetry,
-            sanitizer=self.sanitizer, profiler=profiler,
+            seed=seed, telemetry=telemetry, observers=observers
         )
         self.node_spec = node_spec
         self.ib_params = ib_params
@@ -220,8 +223,6 @@ class Machine:
         for rank in range(n):
             self.sim.spawn(runner(rank), name=f"rank{rank}")
         self.sim.run_all(max_events=max_events, wall_limit_s=wall_limit_s)
-        if self.sanitizer is not None:
-            self.sanitizer.finish()
         if check_invariants:
             self.verify_invariants()
 
@@ -267,15 +268,11 @@ class Machine:
 
     def chrome_trace(self, label: str = "") -> dict:
         """The run as a Chrome ``trace_event`` document (JSON-ready)."""
-        return chrome_trace(
-            self.sim, tracer=self.sim.trace, label=label or self.label
-        )
+        return chrome_trace(self.sim, label=label or self.label)
 
     def write_chrome_trace(self, path, label: str = "") -> dict:
         """Write :meth:`chrome_trace` to ``path``; returns the document."""
-        return write_chrome_trace(
-            path, self.sim, tracer=self.sim.trace, label=label or self.label
-        )
+        return write_chrome_trace(path, self.sim, label=label or self.label)
 
     def lifecycle_spans(self) -> List[dict]:
         """All recorded message spans as JSON-ready dicts (start order)."""

@@ -200,8 +200,8 @@ class MvapichImpl(MpiImpl):
         self.sim.trace.log(
             self.sim.now,
             "ib.send",
-            f"r{ctx.rank}->r{dest} tag={tag} size={size} "
-            f"{'eager' if eager else 'rndv'}",
+            "r{}->r{} tag={} size={} {}",
+            ctx.rank, dest, tag, size, "eager" if eager else "rndv",
         )
         if eager:
             state.eager_sends += 1
@@ -359,8 +359,8 @@ class MvapichImpl(MpiImpl):
         self.sim.trace.log(
             self.sim.now,
             "ib.handle",
-            f"r{ctx.rank} {record.kind} from r{record.src_rank} "
-            f"tag={record.tag} size={record.size}",
+            "r{0} {1.kind} from r{1.src_rank} tag={1.tag} size={1.size}",
+            ctx.rank, record,
         )
         yield from ctx.cpu.busy(self.params.cq_poll, kind="mpi")
         ctx.charge_pollution(self.PROTOCOL_EVENT_FOOTPRINT)

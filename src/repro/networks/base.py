@@ -244,7 +244,7 @@ class Nic:
         stall = faults.nic_stall(component)
         if stall > 0.0:
             self.sim.trace.log(
-                self.sim.now, "fault.stall", f"{component} stalls {stall:g}us"
+                self.sim.now, "fault.stall", "{} stalls {:g}us", component, stall
             )
             yield self.sim.timeout(stall)
 

@@ -245,8 +245,8 @@ class ElanNic(Nic):
             self.sim.trace.log(
                 self.sim.now,
                 "fault.elan.retry",
-                f"node{self.node.node_id}->node{dst_nic.node.node_id} "
-                f"size={size} link_retries={retries} extra={extra:.3f}us",
+                "node{}->node{} size={} link_retries={} extra={:.3f}us",
+                self.node.node_id, dst_nic.node.node_id, size, retries, extra,
             )
             yield self.sim.timeout(extra)
             end = self.sim.now
@@ -278,9 +278,8 @@ class ElanNic(Nic):
         self.sim.trace.log(
             self.sim.now,
             "fault.elan.link_dead",
-            f"node{self.node.node_id}->node{dst_nic.node.node_id} "
-            f"link {st.name} dead; {retries} CRC retries exhausted "
-            f"({burn:.3f}us)",
+            "node{}->node{} link {} dead; {} CRC retries exhausted ({:.3f}us)",
+            self.node.node_id, dst_nic.node.node_id, st.name, retries, burn,
         )
         fo_start = self.sim.now
         yield self.sim.timeout(burn)
@@ -317,8 +316,8 @@ class ElanNic(Nic):
         self.sim.trace.log(
             self.sim.now,
             "fault.elan.rail_switch",
-            f"node{self.node.node_id}->node{dst_nic.node.node_id} "
-            f"re-issued {size} B on alternate rail after {st.name} death",
+            "node{}->node{} re-issued {} B on alternate rail after {} death",
+            self.node.node_id, dst_nic.node.node_id, size, st.name,
         )
         return end
 
@@ -343,8 +342,9 @@ class ElanNic(Nic):
         self.sim.trace.log(
             self.sim.now,
             "elan.tx",
-            f"r{local_rank}->r{dst_rank} tag={tag} size={size} "
-            f"{'sync' if size > self.params.sync_threshold else 'eager'}",
+            "r{}->r{} tag={} size={} {}",
+            local_rank, dst_rank, tag, size,
+            "sync" if size > self.params.sync_threshold else "eager",
         )
         handle = TxHandle(dst_rank=dst_rank, tag=tag, size=size, done=Event(self.sim))
         self.sim.spawn(
@@ -581,8 +581,8 @@ class ElanNic(Nic):
         self.sim.trace.log(
             self.sim.now,
             "elan.match",
-            f"r{record.dst_rank} {'matched' if handle else 'parked'} "
-            f"from r{record.src_rank} tag={record.tag} size={record.size}",
+            "r{0.dst_rank} {1} from r{0.src_rank} tag={0.tag} size={0.size}",
+            record, "matched" if handle else "parked",
         )
         if handle is not None:
             handle.span.relabel("tport")

@@ -291,8 +291,9 @@ class Hca(Nic):
                 self.sim.trace.log(
                     self.sim.now,
                     "fault.ib.retry",
-                    f"node{self.node.node_id}->node{dst_nic.node.node_id} "
-                    f"size={size} attempt={attempts} timeout={timeout:g}us",
+                    "node{}->node{} size={} attempt={} timeout={:g}us",
+                    self.node.node_id, dst_nic.node.node_id, size, attempts,
+                    timeout,
                 )
                 yield self.sim.timeout(timeout)
                 continue
@@ -315,8 +316,8 @@ class Hca(Nic):
         self.sim.trace.log(
             self.sim.now,
             "fault.ib.path_down",
-            f"node{self.node.node_id}->node{dst_nic.node.node_id} "
-            f"link {dead_link} dead; timer {timeout:g}us",
+            "node{}->node{} link {} dead; timer {:g}us",
+            self.node.node_id, dst_nic.node.node_id, dead_link, timeout,
         )
         yield self.sim.timeout(timeout)
         detect = hard.detection_delay(self.sim, f"hca{self.node.node_id}")
@@ -347,9 +348,9 @@ class Hca(Nic):
         self.sim.trace.log(
             self.sim.now,
             "fault.ib.migrate",
-            f"node{self.node.node_id}->node{dst_nic.node.node_id} "
-            f"migrated around {dead_link} "
-            f"(detect={detect:.3f}us, {len(route)} link(s))",
+            "node{}->node{} migrated around {} (detect={:.3f}us, {} link(s))",
+            self.node.node_id, dst_nic.node.node_id, dead_link, detect,
+            len(route),
         )
         return self.payload_stages(dst_nic)
 

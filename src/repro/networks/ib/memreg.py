@@ -93,7 +93,8 @@ class RegistrationCache:
         self.sim.trace.log(
             self.sim.now,
             "fault.reg",
-            f"cache {self.name}: {failures} transient registration failure(s)",
+            "cache {}: {} transient registration failure(s)",
+            self.name, failures,
         )
         yield from cpu.busy(failures * self.params.reg_base, kind="mpi")
         if failures >= faults.plan.reg_retry_budget:

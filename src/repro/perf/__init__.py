@@ -4,8 +4,8 @@ Every other ``repro`` subsystem observes the *simulated* machines; this
 one observes the simulator itself.  It answers two questions the roadmap
 calls unfalsifiable without it:
 
-* **Where does kernel wall-time go?**  :class:`KernelProfiler` hooks the
-  :class:`~repro.sim.Simulator` event loop and attributes wall-clock
+* **Where does kernel wall-time go?**  :class:`KernelProfiler` is a
+  :class:`~repro.sim.Simulator` loop observer that attributes wall-clock
   time, event counts and allocation deltas per event type and per
   process class, plus kernel-mechanics tallies (heap ops, callback
   dispatch, generator resumptions).  :class:`StackSampler` captures
@@ -18,11 +18,11 @@ calls unfalsifiable without it:
   :func:`compare_results` / ``repro-perf diff`` gate events/sec
   regressions against the committed baseline in CI.
 
-The disabled default follows the telemetry null-singleton discipline:
-a simulator built without a profiler pays one identity check per event,
-allocates nothing, and produces byte-identical results — pinned by
-test.  Profiling only ever *observes* (wall-clock reads live here, not
-in the kernel; lint rule RPR012 enforces that seam).
+A simulator built without observers runs its bare loop: nothing here
+executes, nothing is allocated, and the results are byte-identical to
+a profiled run — pinned by test.  Profiling only ever *observes*
+(wall-clock reads live here, not in the kernel; lint rule RPR012
+enforces that seam).
 """
 
 from .diff import (
@@ -39,16 +39,11 @@ from .ladder import (
     run_ladder,
     write_results,
 )
-from .profiler import (
-    NULL_PROFILER,
-    KernelProfiler,
-    kernel_chrome_trace,
-)
+from .profiler import KernelProfiler, kernel_chrome_trace
 from .sampling import StackSampler
 
 __all__ = [
     "KernelProfiler",
-    "NULL_PROFILER",
     "StackSampler",
     "kernel_chrome_trace",
     "LADDER",

@@ -1,16 +1,16 @@
 """The kernel profiler: wall-time and allocation attribution per event.
 
-:class:`KernelProfiler` rides on one :class:`~repro.sim.Simulator` and
-observes its event loop.  The kernel calls exactly two methods per
-event while a profiler is attached — :meth:`KernelProfiler.begin`
-before ``event._fire()`` and :meth:`KernelProfiler.end` after — and
-bumps :attr:`KernelProfiler.heap_pushes` on each schedule.  With no
-profiler attached (the default) the run takes the kernel's bare loop,
-each heap push pays a single ``is None`` identity check, and nothing is
-allocated, the same discipline as
-the race sanitizer and the telemetry null singletons; results are
-byte-identical either way because the profiler only ever *reads* the
-wall clock, never the simulation.
+:class:`KernelProfiler` is a :class:`~repro.sim.Simulator` observer
+(``Simulator(observers=[...])`` or ``Machine(profiler=...)``).  The
+kernel calls it through the one observer protocol: ``on_run_enter`` and
+``on_run_exit`` around each ``run()``, and ``on_pop`` once per event,
+before the event fires.  Each event is timed from its pop to the next
+pop (or to the run's exit), and heap pushes are read from the growth of
+the kernel's sequence number, which every push already bumps — so the
+kernel carries no profiler check of its own.  With no observer attached
+(the default) the run takes the kernel's bare loop and nothing here
+executes; results are byte-identical either way because the profiler
+only ever *reads* the wall clock, never the simulation.
 
 Attribution axes:
 
@@ -81,18 +81,16 @@ class _TypeStats:
 class KernelProfiler:
     """Per-event wall-time/allocation attribution for one simulator.
 
-    Build one, attach it (``Simulator(profiler=...)``,
-    ``Machine(profiler=...)`` or :meth:`attach`), run, then read
-    :meth:`report`.  A profiler is single-use per simulator but its
-    tallies survive multiple ``run()`` calls on that simulator.
+    Build one, attach it (``Machine(profiler=...)`` or a simulator's
+    ``observers`` list), run, then read :meth:`report`.  Tallies
+    accumulate across ``run()`` calls and across simulators run one
+    after another.
 
     ``allocations=False`` skips the per-event allocated-blocks meter
-    (two C calls per event) for minimum-overhead throughput runs.
+    (one C call per event) for minimum-overhead throughput runs.
     ``sampler`` optionally couples a :class:`~.sampling.StackSampler`
     whose start/stop follows the run loop.
     """
-
-    enabled = True
 
     #: The wall clock, exposed so callers time *around* runs with the
     #: same clock the profiler uses internally.
@@ -107,7 +105,9 @@ class KernelProfiler:
         self.sampler = sampler
         self.by_event_type: Dict[str, _TypeStats] = {}
         self.by_process_class: Dict[str, _TypeStats] = {}
-        #: Kernel-mechanics counters.
+        #: Kernel-mechanics counters.  ``heap_pushes`` counts every push
+        #: since each profiled simulator was built, read from its
+        #: sequence number at each run's exit.
         self.heap_pushes = 0
         self.heap_pops = 0
         self.callbacks_dispatched = 0
@@ -117,83 +117,92 @@ class KernelProfiler:
         #: Wall seconds spent inside ``run()`` loops (loop overhead
         #: included), accumulated across calls.
         self.loop_wall_s = 0.0
-        self._loop_t0: Optional[float] = None
-        #: Scratch reused between begin/end (single-threaded kernel).
-        self._pending_classes: List[str] = []
-        self._pending_alloc0 = 0
+        self._loop_t0 = 0.0
+        #: The simulator last run and its push count at that run's exit.
+        self._sim: Optional["Simulator"] = None
+        self._seq_seen = 0
+        #: The event in flight: its type row and the process-class rows
+        #: it resumes, the clock and allocation meter at its pop.
+        self._open: List[_TypeStats] = []
+        self._t0 = 0.0
+        self._alloc0 = 0
 
-    # -- attachment ---------------------------------------------------------
+    # -- kernel observer (hot while profiling) -------------------------------
 
-    def attach(self, sim: "Simulator") -> "KernelProfiler":
-        """Hook this profiler into ``sim``'s event loop."""
-        sim.profiler = self
-        return self
-
-    # -- kernel interface (hot while profiling) -----------------------------
-
-    def enter_run(self) -> None:
-        """Called by the kernel when a ``run()`` loop starts."""
+    def on_run_enter(self, sim: "Simulator") -> None:
+        """Start the loop clock (and the sampler)."""
         self._loop_t0 = _clock()
         if self.sampler is not None:
             self.sampler.start()
 
-    def exit_run(self) -> None:
-        """Called by the kernel when a ``run()`` loop stops."""
-        if self._loop_t0 is not None:
-            self.loop_wall_s += _clock() - self._loop_t0
-            self._loop_t0 = None
-        if self.sampler is not None:
-            self.sampler.stop()
+    def on_pop(self, t: float, seq: int, event: Any) -> None:
+        """Close the previous event's timing and open ``event``'s.
 
-    def begin(self, event: Any) -> float:
-        """Observe ``event`` about to fire; returns the start timestamp.
-
-        Callback inspection happens here because ``_fire()`` consumes
-        the callback list: any callback bound to a generator-carrying
-        waiter (a :class:`~repro.sim.process.Process`) is a resumption,
-        credited to that process's class in :meth:`end`.
+        Callback inspection happens here because firing consumes the
+        callback list: any callback bound to a generator-carrying waiter
+        (a :class:`~repro.sim.process.Process`) is a resumption,
+        credited to that process's class.
         """
+        now_s = _clock()
+        self._close(now_s)
         self.heap_pops += 1
         self.events += 1
-        pending = self._pending_classes
-        pending.clear()
+        opened = self._open
+        name = type(event).__name__
+        stats = self.by_event_type.get(name)
+        if stats is None:
+            stats = self.by_event_type[name] = _TypeStats()
+        stats.count += 1
+        opened.append(stats)
         callbacks = event.callbacks
         if callbacks:
             self.callbacks_dispatched += len(callbacks)
             for cb in callbacks:
                 owner = getattr(cb, "__self__", None)
                 if owner is not None and hasattr(owner, "generator"):
-                    pending.append(_class_of(owner.name))
-        if self.allocations:
-            self._pending_alloc0 = _allocated()
-        return _clock()
+                    self.resumptions += 1
+                    cls = _class_of(owner.name)
+                    pstats = self.by_process_class.get(cls)
+                    if pstats is None:
+                        pstats = self.by_process_class[cls] = _TypeStats()
+                    pstats.count += 1
+                    opened.append(pstats)
+        self._t0 = now_s
 
-    def end(self, event: Any, t0: float) -> None:
-        """Account the event fired since :meth:`begin` returned ``t0``."""
-        dt = _clock() - t0
-        allocs = (
-            _allocated() - self._pending_alloc0 if self.allocations else 0
-        )
-        name = type(event).__name__
-        stats = self.by_event_type.get(name)
-        if stats is None:
-            stats = self.by_event_type[name] = _TypeStats()
-        stats.count += 1
-        stats.wall_s += dt
-        stats.allocs += allocs
-        for cls in self._pending_classes:
-            self.resumptions += 1
-            pstats = self.by_process_class.get(cls)
-            if pstats is None:
-                pstats = self.by_process_class[cls] = _TypeStats()
-            pstats.count += 1
-            pstats.wall_s += dt
+    def on_run_exit(self, sim: "Simulator") -> None:
+        """Close the last event, stop the loop clock, count the pushes."""
+        now_s = _clock()
+        self._close(now_s)
+        self.loop_wall_s += now_s - self._loop_t0
+        if self.sampler is not None:
+            self.sampler.stop()
+        seen = self._seq_seen if sim is self._sim else 0
+        self.heap_pushes += sim._seq - seen
+        self._sim, self._seq_seen = sim, sim._seq
+
+    def _close(self, now_s: float) -> None:
+        """Credit the wall time since the last pop to the open rows.
+
+        The allocation meter is read at the same boundary, so the next
+        event's count starts where this one's ends.
+        """
+        opened = self._open
+        if self.allocations:
+            blocks = _allocated()
+            if opened:
+                opened[0].allocs += blocks - self._alloc0
+            self._alloc0 = blocks
+        if opened:
+            dt = now_s - self._t0
+            for stats in opened:
+                stats.wall_s += dt
+            opened.clear()
 
     # -- reporting ----------------------------------------------------------
 
     @property
     def attributed_wall_s(self) -> float:
-        """Wall seconds inside ``event._fire()``, summed over types."""
+        """Wall seconds from each pop to the next, summed over types."""
         total = 0.0
         for name in sorted(self.by_event_type):
             total += self.by_event_type[name].wall_s
@@ -247,55 +256,6 @@ class KernelProfiler:
                 for name, stats in ranked[:top]
             ],
         }
-
-
-class _NullProfiler:
-    """Shared disabled profiler: every method is a no-op.
-
-    Stateless, so one module-level instance serves every caller that
-    wants unconditional ``profiler.<method>()`` access without a
-    ``None`` check.  The kernel itself keeps the cheaper identity-check
-    pattern and never calls these.
-    """
-
-    enabled = False
-    allocations = False
-    sampler = None
-    events = 0
-    loop_wall_s = 0.0
-    heap_pushes = 0
-    heap_pops = 0
-    callbacks_dispatched = 0
-    resumptions = 0
-    clock = staticmethod(_clock)
-
-    def attach(self, sim: "Simulator") -> "_NullProfiler":
-        return self
-
-    def enter_run(self) -> None:
-        pass
-
-    def exit_run(self) -> None:
-        pass
-
-    def begin(self, event: Any) -> float:
-        return 0.0
-
-    def end(self, event: Any, t0: float) -> None:
-        pass
-
-    def events_per_sec(self) -> float:
-        return 0.0
-
-    def report(self) -> Dict[str, Any]:
-        return {}
-
-    def summary(self, top: int = 3) -> Dict[str, Any]:
-        return {}
-
-
-#: The shared disabled profiler.
-NULL_PROFILER = _NullProfiler()
 
 
 def kernel_chrome_trace(

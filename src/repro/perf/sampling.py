@@ -75,7 +75,7 @@ class StackSampler:
 
     def start(self) -> "StackSampler":
         if self._thread is not None:
-            return self  # idempotent: enter_run after an explicit start
+            return self  # idempotent: on_run_enter after an explicit start
         target = (
             self.thread_id
             if self.thread_id is not None

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="attach the kernel profiler to every cold run; records gain "
-        "a perf summary and /v1/perf reports per-job kernel profiles",
+        "a perf summary (read it through GET /v1/jobs/<id>)",
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache"

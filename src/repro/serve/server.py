@@ -22,10 +22,11 @@ API (all JSON unless noted)::
     GET  /v1/runs/<key>          cached record by content key
     GET  /v1/runs/<key>/explain  self-contained HTML blame report
     GET  /v1/status              service + scheduler + campaign-root status
-    GET  /v1/perf                job timing histograms + per-job kernel
-                                 profiles (run with --profile for the
-                                 per-event attribution summaries)
+                                 (job timing histograms, the --profile flag)
     GET  /v1/metrics             the serve MetricsRegistry, flat JSON
+
+A job's kernel profile (``--profile``) rides on its record as a
+``perf`` block, read through ``GET /v1/jobs/<id>``.
 
 Every request lands in the service's own
 :class:`~repro.telemetry.registry.MetricsRegistry` (request counters,
@@ -154,13 +155,13 @@ class ServeState:
         self.echo = echo
         self.metrics = MetricsRegistry()
         #: Job-timing histograms fetched once so the per-request status
-        #: and perf paths never touch the registry lock.
+        #: path never touches the registry lock.
         self._timing_hists = tuple(
             (name, self.metrics.histogram(f"scheduler.jobs.{name}"))
             for name in ("queue_delay_s", "wall_s", "turnaround_s")
         )
-        #: Kernel-profile every executed job (adds ``perf`` blocks to
-        #: records and powers ``/v1/perf``'s per-job kernel summaries).
+        #: Kernel-profile every executed job (adds a ``perf`` block to
+        #: each fresh record).
         self.profile = profile
         self.scheduler = JobScheduler.at(
             root,
@@ -253,45 +254,6 @@ class ServeState:
             # Embeds the durable "scheduler" block (jobs.jsonl fold) —
             # the same shape ``repro-campaign status --json`` reports.
             "campaign_root": status_payload(self.root),
-        }
-
-    def perf(self) -> Dict[str, Any]:
-        """The ``/v1/perf`` payload: service timing + per-job kernels.
-
-        One entry per terminal job, newest last: the record's wall
-        time, simulated event count and events/sec, plus the compact
-        kernel-profile summary when the job ran with profiling on.
-        """
-        jobs: List[Dict[str, Any]] = []
-        for job in self.scheduler.jobs():
-            if not job.done or job.record is None:
-                continue
-            record = job.record
-            wall = float(record.get("wall_s", 0.0))
-            events = (record.get("metrics") or {}).get("sim.events")
-            entry: Dict[str, Any] = {
-                "id": job.id,
-                "label": job.label,
-                "state": job.state,
-                "status": record.get("status"),
-                "wall_s": round(wall, 6),
-            }
-            if isinstance(events, (int, float)):
-                entry["events"] = events
-                entry["events_per_sec"] = (
-                    round(events / wall) if wall > 0 else 0
-                )
-            if "perf" in record:
-                entry["perf"] = record["perf"]
-            jobs.append(entry)
-        return {
-            "profile": self.profile,
-            "scheduler": {
-                "stats": dict(self.scheduler.stats),
-                "jobs": self.scheduler.counts(),
-                "timing": self._job_timing(),
-            },
-            "jobs": jobs,
         }
 
 
@@ -474,8 +436,6 @@ class ServeHandler(BaseHTTPRequestHandler):
             return "explain.get", self._get_explain(parts[2])
         if parts == ["v1", "status"]:
             return "status.get", self._send_json(200, self.state.status())
-        if parts == ["v1", "perf"]:
-            return "perf.get", self._send_json(200, self.state.perf())
         if parts == ["v1", "metrics"]:
             return "metrics.get", self._send_json(
                 200, self.state.metrics.as_dict()

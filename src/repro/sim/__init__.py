@@ -4,18 +4,23 @@ The kernel is SimPy-flavoured but purpose-built: generator processes,
 one-shot events, FIFO resources, mailbox stores, and an analytic pipelined
 transfer primitive that gives exact resource contention at O(stages) events
 per message.  See :mod:`repro.sim.engine` for determinism guarantees.
+
+Nothing here records on its own: loop observers (the race sanitizer,
+the kernel profiler) attach through ``Simulator(observers=...)``, and
+the protocol trace log is the telemetry bundle's ``trace`` surface,
+reached as ``sim.trace``.
 """
 
-from .engine import Simulator
+from .engine import Observer, Simulator
 from .events import AllOf, AnyOf, Event, Timeout
 from .pipelines import DEFAULT_CHUNK, Stage, transfer, transfer_time_estimate
 from .process import Interrupted, Process
 from .resources import FifoResource, Store
 from .rng import RngStreams
-from .trace import Tracer
 
 __all__ = [
     "Simulator",
+    "Observer",
     "Event",
     "Timeout",
     "AllOf",
@@ -25,7 +30,6 @@ __all__ = [
     "FifoResource",
     "Store",
     "RngStreams",
-    "Tracer",
     "Stage",
     "transfer",
     "transfer_time_estimate",

@@ -19,20 +19,26 @@ event budget and a wall-clock limit, and breaching either raises
 processes and what each was blocked on — the same roster
 :class:`~repro.errors.DeadlockError` reports when the heap drains with
 processes still waiting.
+
+Tools that watch the loop (the race sanitizer, the kernel profiler)
+are *observers*: objects in the simulator's one ``observers`` list,
+called through the :class:`Observer` protocol.  They only read what the
+loop hands them, so attaching one never changes the event stream.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Protocol, Tuple,
+)
 
 from ..errors import SimulationError, WatchdogError
 from ..telemetry.collect import DISABLED, Telemetry
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import ProcGen, Process
 from .rng import RngStreams
-from .trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultInjector
@@ -44,23 +50,37 @@ if TYPE_CHECKING:  # pragma: no cover
 _WALL_CHECK_INTERVAL = 2048
 
 
+class Observer(Protocol):
+    """What the instrumented loop calls on each attached observer.
+
+    ``on_run_enter``/``on_run_exit`` bracket every :meth:`Simulator.run`
+    call (exit also runs when the run raises); ``on_pop`` sees each
+    event after it leaves the heap and before its callbacks run.
+    """
+
+    def on_run_enter(self, sim: "Simulator") -> None: ...
+
+    def on_pop(self, t: float, seq: int, event: Event) -> None: ...
+
+    def on_run_exit(self, sim: "Simulator") -> None: ...
+
+
 class Simulator:
     """Discrete-event simulation kernel."""
 
     def __init__(
         self,
         seed: int = 0,
-        trace: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
-        sanitizer: Optional[Any] = None,
-        profiler: Optional[Any] = None,
+        observers: Iterable[Observer] = (),
     ) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
+        #: Same-time tiebreak, bumped once per scheduled event; the
+        #: kernel profiler reads its growth as the heap-push count.
         self._seq = 0
         self._running = False
         self.rng = RngStreams(seed)
-        self.trace = trace if trace is not None else Tracer(enabled=False)
         #: The observability bundle (:mod:`repro.telemetry`).  The shared
         #: stateless DISABLED bundle is the default: its registry hands
         #: out no-op instruments, so model code can fetch and call its
@@ -69,10 +89,12 @@ class Simulator:
         #: Shorthand for ``telemetry.metrics`` — the registry model code
         #: fetches instruments from at construction time.
         self.metrics = self.telemetry.metrics
-        #: Shorthands for the per-message span recorder and the series
-        #: bank (null singletons when disabled, like the registry).
+        #: Shorthands for the per-message span recorder, the series bank
+        #: and the protocol trace log (null singletons when disabled,
+        #: like the registry).
         self.lifecycle = self.telemetry.lifecycle
         self.series = self.telemetry.series
+        self.trace = self.telemetry.trace
         #: Every FifoResource / Store built on this simulator, in
         #: construction order; the metrics snapshot walks the named ones.
         self.resources: List["FifoResource"] = []
@@ -87,21 +109,12 @@ class Simulator:
         #: here when a fault plan is enabled; ``None`` means every model
         #: takes its pristine, draw-free fast path.
         self.faults: Optional["FaultInjector"] = None
-        #: Opt-in same-time race sanitizer
-        #: (:class:`~repro.analysis.sanitizer.RaceSanitizer`).  ``None``
-        #: — the default — lets :meth:`run` take its bare loop; the
-        #: sanitizer only *observes* pops, so enabling it never changes
-        #: simulated results.
-        self.sanitizer: Optional[Any] = sanitizer
-        #: Opt-in kernel self-profiler
-        #: (:class:`~repro.perf.KernelProfiler`).  ``None`` — the
-        #: default — lets :meth:`run` take its bare loop and costs one
-        #: identity check per heap push.  The profiler
-        #: only reads the wall clock around ``_fire()``, so attaching
-        #: one never changes simulated results; all clock reads live in
-        #: :mod:`repro.perf.profiler` (lint rule RPR012 keeps them out
-        #: of the kernel).
-        self.profiler: Optional[Any] = profiler
+        #: Loop observers (:class:`Observer`), called in list order.  An
+        #: empty list — the default — lets :meth:`run` take its bare
+        #: loop.  Observers only read, so attaching one never changes
+        #: simulated results; the wall-clock reads of the kernel
+        #: profiler stay in :mod:`repro.perf` (lint rule RPR012).
+        self.observers: List[Observer] = list(observers)
 
     # -- clock ------------------------------------------------------------
 
@@ -115,8 +128,6 @@ class Simulator:
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
-        if self.profiler is not None:
-            self.profiler.heap_pushes += 1
 
     def _process_crashed(self, proc: Process, exc: BaseException) -> None:
         self._crashed.append((proc, exc))
@@ -208,9 +219,11 @@ class Simulator:
         watchdogs exist for unattended campaign runs, where a livelocked
         model must kill one run, not the whole sweep.
 
-        With none of these arguments and no sanitizer or profiler
-        attached, the run takes :meth:`_run_bare`, which fires the same
-        event stream with fewer checks per event.
+        With none of these arguments and no observer attached, the run
+        takes :meth:`_run_bare`, which fires the same event stream with
+        fewer checks per event.  Otherwise each observer's ``on_pop``
+        runs once per event, bracketed by ``on_run_enter`` and
+        ``on_run_exit``.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -219,8 +232,7 @@ class Simulator:
             and until_process is None
             and max_events is None
             and wall_limit_s is None
-            and self.sanitizer is None
-            and self.profiler is None
+            and not self.observers
         ):
             return self._run_bare()
         if max_events is not None and max_events < 1:
@@ -234,9 +246,9 @@ class Simulator:
             if wall_limit_s is not None
             else None
         )
-        prof = self.profiler
-        if prof is not None:
-            prof.enter_run()
+        observers = self.observers
+        for observer in observers:
+            observer.on_run_enter(self)
         try:
             while self._heap:
                 if self._crashed:
@@ -269,14 +281,9 @@ class Simulator:
                     break
                 self._now = t
                 self.events_processed += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.observe(t, _seq, event)
-                if prof is not None:
-                    t0 = prof.begin(event)
-                    event._fire()
-                    prof.end(event, t0)
-                else:
-                    event._fire()
+                for observer in observers:
+                    observer.on_pop(t, _seq, event)
+                event._fire()
             else:
                 if self._crashed:
                     self._raise_crash()
@@ -284,8 +291,8 @@ class Simulator:
                     self._now = until
         finally:
             self._running = False
-            if prof is not None:
-                prof.exit_run()
+            for observer in observers:
+                observer.on_run_exit(self)
         return self._now
 
     def _run_bare(self) -> float:

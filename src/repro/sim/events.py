@@ -88,8 +88,6 @@ class Event:
         sim = self.sim
         sim._seq += 1
         heappush(sim._heap, (sim._now, sim._seq, self))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
-        if sim.profiler is not None:
-            sim.profiler.heap_pushes += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -189,8 +187,6 @@ class Timeout(Event):
         self.delay = delay
         sim._seq += 1
         heappush(sim._heap, (sim._now + delay, sim._seq, self))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
-        if sim.profiler is not None:
-            sim.profiler.heap_pushes += 1
 
     def describe(self) -> str:
         return f"Timeout({self.delay:g}us)"

@@ -10,8 +10,14 @@ this package makes those mechanisms *numbers*:
   nothing.  Enabled contents are deterministic: same seed + same spec
   gives bit-identical metric dicts.
 * :class:`Telemetry` — the per-simulator bundle (registry + optional
-  span :class:`Timeline`), attached via ``Machine(...,
-  telemetry=Telemetry(...))``.
+  span :class:`Timeline`, lifecycle recorder, series bank and protocol
+  trace log), attached via ``Machine(..., telemetry=Telemetry(...))``.
+* :class:`EventStream` — the protocol trace log, ``Telemetry(trace=True)``
+  reached as ``sim.trace``: ``(time, category, message)`` records such
+  as ``ib.send``/``ib.handle`` (MVAPICH's host-side handshake) and
+  ``elan.tx``/``elan.match`` (Elan-4's NIC-thread matching).  Messages
+  are formatted only when stored; off, ``sim.trace`` is
+  :data:`NULL_TRACE`.
 * :func:`snapshot` — one flat JSON-ready dict per run: protocol
   counters, per-resource busy time / utilization / occupancy / queue
   high-water marks, per-store depths, kernel totals.
@@ -58,7 +64,7 @@ from .registry import (
     NullRegistry,
 )
 from .series import Channel, NULL_CHANNEL, NULL_SERIES, SeriesBank
-from .stream import EventStream, Timeline
+from .stream import NULL_TRACE, EventStream, Timeline
 
 __all__ = [
     "Telemetry",
@@ -71,6 +77,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "EventStream",
+    "NULL_TRACE",
     "Timeline",
     "MessageSpan",
     "LifecycleRecorder",

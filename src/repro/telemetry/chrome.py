@@ -14,8 +14,9 @@ Event sources:
   event per recorded phase, on one track per owning rank;
 * :class:`~.series.SeriesBank` channels — counter (``ph: "C"``) events,
   one track per channel, so gauge history renders as area charts;
-* legacy :class:`~repro.sim.Tracer` records — protocol events, exported
-  as instants on one track per category.
+* the protocol trace log (``sim.trace``, an
+  :class:`~.stream.EventStream`) — protocol events, exported as
+  instants on one track per category.
 
 Simulation time is microseconds, which is exactly the ``ts`` unit the
 trace format expects — timestamps pass through unscaled.
@@ -25,28 +26,25 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from ..version import __version__
 from .collect import snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim import Simulator, Tracer
+    from ..sim import Simulator
 
 #: The single process id used for the whole simulated machine.
 PID = 0
 
 
-def chrome_trace(
-    sim: "Simulator",
-    tracer: Optional["Tracer"] = None,
-    label: str = "",
-) -> Dict[str, Any]:
+def chrome_trace(sim: "Simulator", label: str = "") -> Dict[str, Any]:
     """Build the trace dict for one finished simulation.
 
-    Includes whatever was collected: timeline spans if the simulator's
-    telemetry has one, tracer records if a tracer is given, and always
-    the metrics snapshot under ``otherData.metrics``.
+    Includes whatever the simulator's telemetry collected (timeline
+    spans, lifecycle phases, series counters, trace-log records), the
+    per-surface drop counts under ``otherData.dropped``, and always the
+    metrics snapshot under ``otherData.metrics``.
     """
     events: List[Dict[str, Any]] = []
     tracks: Dict[str, int] = {}
@@ -119,8 +117,9 @@ def chrome_trace(
                         "args": {"value": value},
                     }
                 )
-    if tracer is not None:
-        for ts, category, message in tracer.records:
+    trace = sim.telemetry.trace
+    if trace.enabled:
+        for ts, category, message in trace.records:
             events.append(
                 {
                     "name": category,
@@ -162,6 +161,7 @@ def chrome_trace(
             if timeline is not None
             else {}
         ),
+        "trace": dict(sorted(trace.dropped_by_category.items())),
     }
     return {
         "traceEvents": metadata + events,
@@ -175,14 +175,9 @@ def chrome_trace(
     }
 
 
-def write_chrome_trace(
-    path,
-    sim: "Simulator",
-    tracer: Optional["Tracer"] = None,
-    label: str = "",
-) -> Dict[str, Any]:
+def write_chrome_trace(path, sim: "Simulator", label: str = "") -> Dict[str, Any]:
     """Export :func:`chrome_trace` to ``path``; returns the trace dict."""
-    trace = chrome_trace(sim, tracer=tracer, label=label)
+    trace = chrome_trace(sim, label=label)
     Path(path).write_text(json.dumps(trace, sort_keys=True))
     return trace
 

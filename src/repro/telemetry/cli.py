@@ -46,26 +46,23 @@ def cmd_record(args: argparse.Namespace) -> int:
     # without dragging the whole simulator stack in.
     from ..campaign.programs import build_program
     from ..mpi import Machine
-    from ..sim import Tracer
     from .chrome import write_chrome_trace
     from .collect import Telemetry
 
     app_args = dict(args.arg or [])
-    tracer = Tracer(enabled=True)
     machine = Machine(
         args.network,
         args.nodes,
         ppn=args.ppn,
         seed=args.seed,
-        trace=tracer,
-        telemetry=Telemetry(metrics=True, timeline=True),
+        telemetry=Telemetry(metrics=True, timeline=True, trace=True),
     )
     result = machine.run(build_program(args.app, app_args))
     label = args.label or (
         f"{args.app} {args.network} {args.nodes}n x{args.ppn}ppn "
         f"seed={args.seed}"
     )
-    trace = write_chrome_trace(args.output, machine.sim, tracer=tracer, label=label)
+    trace = write_chrome_trace(args.output, machine.sim, label=label)
     metrics = trace["otherData"]["metrics"]
     print(
         f"wrote {args.output}: {len(trace['traceEvents'])} events, "

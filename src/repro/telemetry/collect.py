@@ -1,7 +1,7 @@
 """The per-simulator telemetry bundle and the metrics snapshot.
 
 One :class:`Telemetry` object rides on each :class:`~repro.sim.Simulator`
-(``sim.telemetry``).  It bundles the four collection surfaces:
+(``sim.telemetry``).  It bundles the five collection surfaces:
 
 * ``metrics`` — a :class:`~.registry.MetricsRegistry` (or the shared
   null registry when disabled) fed by the protocol models;
@@ -11,7 +11,10 @@ One :class:`Telemetry` object rides on each :class:`~repro.sim.Simulator`
   shared null recorder) of per-message protocol-phase spans;
 * ``series`` — a :class:`~.series.SeriesBank` (or the shared null bank)
   of change-driven occupancy/gauge channels, resampled onto a Δt grid
-  at export.
+  at export;
+* ``trace`` — an :class:`~.stream.EventStream` (or the shared null
+  trace) of ``(time, category, message)`` protocol records, reached as
+  ``sim.trace``.
 
 :func:`snapshot` flattens everything observable about a finished run —
 registry instruments, per-resource busy/utilization/queue statistics,
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 from .lifecycle import LifecycleRecorder, NULL_LIFECYCLE, _NullLifecycle
 from .registry import MetricsRegistry, NULL_REGISTRY, NullRegistry
 from .series import NULL_SERIES, SeriesBank, _NullSeries
-from .stream import Timeline
+from .stream import NULL_TRACE, EventStream, Timeline, _NullTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -48,6 +51,7 @@ class Telemetry:
         lifecycle_limit: int = 200_000,
         series: bool = False,
         series_limit: int = 500_000,
+        trace: bool = False,
     ) -> None:
         self.metrics: Union[MetricsRegistry, NullRegistry] = (
             MetricsRegistry() if metrics else NULL_REGISTRY
@@ -61,6 +65,9 @@ class Telemetry:
         self.series: Union[SeriesBank, _NullSeries] = (
             SeriesBank(series_limit) if series else NULL_SERIES
         )
+        self.trace: Union[EventStream, _NullTrace] = (
+            EventStream() if trace else NULL_TRACE
+        )
 
     @property
     def enabled(self) -> bool:
@@ -70,12 +77,13 @@ class Telemetry:
             or self.timeline is not None
             or self.lifecycle.enabled
             or self.series.enabled
+            or self.trace.enabled
         )
 
 
 #: The shared disabled bundle a plain ``Simulator()`` uses.  Stateless —
-#: registry, lifecycle and series are the null singletons and it has no
-#: timeline — so every untelemetered simulator can safely share it.
+#: registry, lifecycle, series and trace are the null singletons and it
+#: has no timeline — so every untelemetered simulator can safely share it.
 DISABLED = Telemetry(metrics=False, timeline=False)
 
 

@@ -37,9 +37,9 @@ class TestHandBuiltRaces:
     def test_missing_keys_is_a_race(self):
         scope = Scope("nic.thread")
         san = RaceSanitizer()
-        san.observe(1.0, 0, FakeEvent(scope, None, "grant a"))
-        san.observe(1.0, 1, FakeEvent(scope, None, "grant b"))
-        san.finish()
+        san.on_pop(1.0, 0, FakeEvent(scope, None, "grant a"))
+        san.on_pop(1.0, 1, FakeEvent(scope, None, "grant b"))
+        san.on_run_exit(None)
         assert san.race_count == 1
         assert not san.clean
         (finding,) = san.findings
@@ -52,57 +52,57 @@ class TestHandBuiltRaces:
     def test_duplicate_keys_is_a_race(self):
         scope = Scope("inbox")
         san = RaceSanitizer()
-        san.observe(2.0, 0, FakeEvent(scope, ("msg", 7)))
-        san.observe(2.0, 1, FakeEvent(scope, ("msg", 7)))
-        san.finish()
+        san.on_pop(2.0, 0, FakeEvent(scope, ("msg", 7)))
+        san.on_pop(2.0, 1, FakeEvent(scope, ("msg", 7)))
+        san.on_run_exit(None)
         assert san.race_count == 1
         assert san.findings[0].reason == "duplicate tiebreak keys"
 
     def test_distinct_keys_is_clean(self):
         scope = Scope("inbox")
         san = RaceSanitizer()
-        san.observe(2.0, 0, FakeEvent(scope, ("msg", 1)))
-        san.observe(2.0, 1, FakeEvent(scope, ("msg", 2)))
-        san.finish()
+        san.on_pop(2.0, 0, FakeEvent(scope, ("msg", 1)))
+        san.on_pop(2.0, 1, FakeEvent(scope, ("msg", 2)))
+        san.on_run_exit(None)
         assert san.clean
         assert san.race_count == 0
 
     def test_different_scopes_do_not_race(self):
         san = RaceSanitizer()
-        san.observe(3.0, 0, FakeEvent(Scope("a")))
-        san.observe(3.0, 1, FakeEvent(Scope("b")))
-        san.finish()
+        san.on_pop(3.0, 0, FakeEvent(Scope("a")))
+        san.on_pop(3.0, 1, FakeEvent(Scope("b")))
+        san.on_run_exit(None)
         assert san.clean
 
     def test_different_times_do_not_race(self):
         scope = Scope("a")
         san = RaceSanitizer()
-        san.observe(1.0, 0, FakeEvent(scope))
-        san.observe(2.0, 1, FakeEvent(scope))
-        san.finish()
+        san.on_pop(1.0, 0, FakeEvent(scope))
+        san.on_pop(2.0, 1, FakeEvent(scope))
+        san.on_run_exit(None)
         assert san.clean
 
     def test_scopeless_events_ignored(self):
         san = RaceSanitizer()
-        san.observe(1.0, 0, FakeEvent(None))
-        san.observe(1.0, 1, FakeEvent(None))
-        san.finish()
+        san.on_pop(1.0, 0, FakeEvent(None))
+        san.on_pop(1.0, 1, FakeEvent(None))
+        san.on_run_exit(None)
         assert san.clean
         assert san.events_observed == 2
 
     def test_unhashable_keys_compared_positionally(self):
         scope = Scope("a")
         san = RaceSanitizer()
-        san.observe(1.0, 0, FakeEvent(scope, ["x"]))
-        san.observe(1.0, 1, FakeEvent(scope, ["x"]))
-        san.finish()
+        san.on_pop(1.0, 0, FakeEvent(scope, ["x"]))
+        san.on_pop(1.0, 1, FakeEvent(scope, ["x"]))
+        san.on_run_exit(None)
         assert san.race_count == 1
 
     def test_order_violation_detected(self):
         san = RaceSanitizer()
-        san.observe(1.0, 5, FakeEvent())
-        san.observe(1.0, 3, FakeEvent())
-        san.finish()
+        san.on_pop(1.0, 5, FakeEvent())
+        san.on_pop(1.0, 3, FakeEvent())
+        san.on_run_exit(None)
         (violation,) = san.order_violations
         assert violation.previous == (1.0, 5)
         assert violation.current == (1.0, 3)
@@ -112,9 +112,9 @@ class TestHandBuiltRaces:
         san = RaceSanitizer()
         for i in range(_MAX_RECORDED + 10):
             scope = Scope(f"s{i}")
-            san.observe(float(i), 2 * i, FakeEvent(scope))
-            san.observe(float(i), 2 * i + 1, FakeEvent(scope))
-        san.finish()
+            san.on_pop(float(i), 2 * i, FakeEvent(scope))
+            san.on_pop(float(i), 2 * i + 1, FakeEvent(scope))
+        san.on_run_exit(None)
         assert san.race_count == _MAX_RECORDED + 10
         assert len(san.findings) == _MAX_RECORDED
         assert "further race(s) not recorded" in san.report()
@@ -122,8 +122,9 @@ class TestHandBuiltRaces:
     def test_report_summarizes(self):
         scope = Scope("res")
         san = RaceSanitizer()
-        san.observe(1.0, 0, FakeEvent(scope, None, "ev0"))
-        san.observe(1.0, 1, FakeEvent(scope, None, "ev1"))
+        san.on_pop(1.0, 0, FakeEvent(scope, None, "ev0"))
+        san.on_pop(1.0, 1, FakeEvent(scope, None, "ev1"))
+        san.on_run_exit(None)
         report = san.report()
         assert "2 events observed" in report
         assert "1 race(s)" in report
@@ -135,7 +136,7 @@ class TestKernelIntegration:
 
     def run_two_grants(self, key_of):
         san = RaceSanitizer()
-        sim = Simulator(sanitizer=san)
+        sim = Simulator(observers=[san])
         res = FifoResource(sim, capacity=1, name="dut")
         order = []
 
@@ -149,13 +150,21 @@ class TestKernelIntegration:
         for n in range(2):
             sim.spawn(proc(n), name=f"p{n}")
         sim.run_all()
-        san.finish()
         return san, order
 
     def test_unkeyed_same_time_grants_flagged(self):
         san, _ = self.run_two_grants(lambda n: None)
         assert san.race_count >= 1
         assert any("dut" in f.scope for f in san.findings)
+
+    def test_racy_run_is_unclean_before_any_report(self):
+        # The race sits in the run's last timestamp group; the run's exit
+        # must judge it, not a later report() call.
+        san, _ = self.run_two_grants(lambda n: None)
+        assert not san.clean
+        assert san.race_count == 1
+        assert "1 race(s)" in san.report()
+        assert san.race_count == 1
 
     def test_keyed_same_time_grants_clean(self):
         san, order = self.run_two_grants(lambda n: n)
@@ -164,7 +173,7 @@ class TestKernelIntegration:
 
     def test_store_deliveries_auto_stamped(self):
         san = RaceSanitizer()
-        sim = Simulator(sanitizer=san)
+        sim = Simulator(observers=[san])
         store = Store(sim, name="inbox")
         got = []
 
@@ -181,7 +190,6 @@ class TestKernelIntegration:
         sim.spawn(consumer(), name="c")
         sim.spawn(producer(), name="p")
         sim.run_all()
-        san.finish()
         assert san.clean, san.report()
         assert got == ["a", "b"]
 

@@ -13,7 +13,8 @@ import pytest
 
 from repro import FaultPlan, Machine
 from repro.microbench.pingpong import pingpong_program
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.faults
 
@@ -21,11 +22,13 @@ PLAN = FaultPlan(ber=1e-6, nic_stall_rate=0.02, nic_stall_us=10.0)
 
 
 def run_once(network, plan, seed=0, trace=False):
-    tracer = Tracer(enabled=True) if trace else None
-    machine = Machine(network, n_nodes=2, seed=seed, faults=plan, trace=tracer)
+    telemetry = Telemetry(metrics=False, trace=True) if trace else None
+    machine = Machine(
+        network, n_nodes=2, seed=seed, faults=plan, telemetry=telemetry
+    )
     result = machine.run(pingpong_program(4096, 10))
     stats = machine.sim.faults.stats() if machine.sim.faults else None
-    records = list(tracer.records) if tracer else None
+    records = list(machine.sim.trace.records) if trace else None
     return result, stats, records
 
 

@@ -1,7 +1,11 @@
 """Protocol tracing through a traced Machine."""
 
 from repro.mpi import Machine
-from repro.sim import Tracer
+from repro.telemetry import Telemetry
+
+
+def traced(network):
+    return Machine(network, 2, telemetry=Telemetry(metrics=False, trace=True))
 
 
 def exchange_prog(size):
@@ -16,18 +20,19 @@ def exchange_prog(size):
 
 
 def test_ib_eager_send_traced():
-    tracer = Tracer(categories={"ib.send"})
-    m = Machine("ib", 2, trace=tracer)
+    m = traced("ib")
     m.run(exchange_prog(256))
-    sends = tracer.select("ib.send")
+    sends = m.sim.trace.select("ib.send")
     assert any("eager" in msg and "tag=9" in msg for _, _, msg in sends)
 
 
 def test_ib_rendezvous_protocol_sequence_traced():
-    tracer = Tracer(categories={"ib.send", "ib.handle"})
-    m = Machine("ib", 2, trace=tracer)
+    m = traced("ib")
     m.run(exchange_prog(64 * 1024))
-    msgs = [msg for _, _, msg in tracer.records]
+    msgs = [
+        msg for _, category, msg in m.sim.trace.records
+        if category in ("ib.send", "ib.handle")
+    ]
     assert any("rndv" in m_ for m_ in msgs)
     # The full handshake appears in causal order: rts -> cts -> rdata.
     kinds = [m_.split()[1] for m_ in msgs if m_.startswith("r") and " rts " not in m_]
@@ -38,11 +43,10 @@ def test_ib_rendezvous_protocol_sequence_traced():
 
 
 def test_elan_tx_and_match_traced():
-    tracer = Tracer(categories={"elan.tx", "elan.match"})
-    m = Machine("elan", 2, trace=tracer)
+    m = traced("elan")
     m.run(exchange_prog(512))
-    tx = tracer.select("elan.tx")
-    match = tracer.select("elan.match")
+    tx = m.sim.trace.select("elan.tx")
+    match = m.sim.trace.select("elan.match")
     assert any("tag=9" in msg for _, _, msg in tx)
     assert any("matched" in msg or "parked" in msg for _, _, msg in match)
 
@@ -54,8 +58,7 @@ def test_untraced_machine_records_nothing():
 
 
 def test_trace_times_are_monotone():
-    tracer = Tracer()
-    m = Machine("elan", 2, trace=tracer)
+    m = traced("elan")
     m.run(exchange_prog(2048))
-    times = [t for t, _, _ in tracer.records]
+    times = [t for t, _, _ in m.sim.trace.records]
     assert times == sorted(times)

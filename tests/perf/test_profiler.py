@@ -1,10 +1,11 @@
-"""KernelProfiler contract: null-default purity, attribution, exports.
+"""KernelProfiler contract: observer purity, attribution, exports.
 
 The acceptance pins: a simulator built without a profiler produces
 byte-identical results and executes nothing from ``repro.perf`` (the
 kernel never even imports it), and an attached profiler's attribution
-is internally consistent — counts match the kernel's own event count
-and attributed wall time stays inside the measured loop time.
+is internally consistent — counts match the kernel's own event and
+push counts and attributed wall time stays inside the measured loop
+time, alone or beside the race sanitizer.
 """
 
 import json
@@ -17,15 +18,17 @@ import pytest
 
 from repro.microbench import pingpong_program
 from repro.mpi.machine import Machine
-from repro.perf import NULL_PROFILER, KernelProfiler, kernel_chrome_trace
+from repro.perf import KernelProfiler, kernel_chrome_trace
 from repro.perf.profiler import _class_of
 from repro.telemetry.chrome import validate_trace
 
 pytestmark = pytest.mark.perf
 
 
-def _run(profiler=None):
-    machine = Machine("elan", 4, seed=0, profiler=profiler)
+def _run(profiler=None, sanitizer=False):
+    machine = Machine(
+        "elan", 4, seed=0, profiler=profiler, sanitizer=sanitizer
+    )
     result = machine.run(
         pingpong_program(4096, 4), check_invariants=True
     )
@@ -81,27 +84,20 @@ def test_kernel_does_not_import_perf():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-def test_null_profiler_is_inert():
-    assert NULL_PROFILER.enabled is False
-    assert NULL_PROFILER.begin(object()) == 0.0
-    NULL_PROFILER.end(object(), 0.0)
-    assert NULL_PROFILER.report() == {}
-    assert NULL_PROFILER.summary() == {}
-    assert NULL_PROFILER.events_per_sec() == 0.0
-
-
 # -- attribution --------------------------------------------------------------
 
 
 def test_attribution_is_internally_consistent():
-    machine, _ = _run(profiler=KernelProfiler())
-    prof = machine.sim.profiler
+    prof = KernelProfiler()
+    machine, _ = _run(profiler=prof)
     events = machine.sim.events_processed
     assert prof.events == events
     assert prof.heap_pops == events
+    # Every push since the machine was built, exactly.
+    assert prof.heap_pushes == machine.sim._seq
     assert prof.heap_pushes >= events
     assert sum(s.count for s in prof.by_event_type.values()) == events
-    # Attributed time is the inside-the-fire slice of the loop time.
+    # Attributed time is the pop-to-pop slice of the loop time.
     assert 0.0 < prof.attributed_wall_s <= prof.loop_wall_s
     assert prof.events_per_sec() > 0.0
     # Every resumption credited a process class.
@@ -114,11 +110,24 @@ def test_attribution_is_internally_consistent():
 
 def test_tallies_accumulate_across_simulators():
     prof = KernelProfiler()
-    _run(profiler=prof)
+    first_machine, _ = _run(profiler=prof)
     first = prof.events
     second_machine, _ = _run(profiler=prof)
     assert first > 0
     assert prof.events == first + second_machine.sim.events_processed
+    assert prof.heap_pushes == first_machine.sim._seq + second_machine.sim._seq
+
+
+def test_sanitizer_and_profiler_attach_together():
+    alone = KernelProfiler(allocations=False)
+    plain_machine, plain = _run(profiler=alone)
+    both = KernelProfiler(allocations=False)
+    machine, result = _run(profiler=both, sanitizer=True)
+    assert _fingerprint(machine, result) == _fingerprint(plain_machine, plain)
+    assert machine.sanitizer.clean, machine.sanitizer.report()
+    assert machine.sanitizer.events_observed == machine.sim.events_processed
+    for name in ("events", "heap_pushes", "resumptions"):
+        assert getattr(both, name) == getattr(alone, name), name
 
 
 def test_class_of_folds_numbered_processes():
@@ -130,8 +139,9 @@ def test_class_of_folds_numbered_processes():
 
 
 def test_report_and_summary_shapes():
-    machine, _ = _run(profiler=KernelProfiler())
-    report = machine.sim.profiler.report()
+    prof = KernelProfiler()
+    _run(profiler=prof)
+    report = prof.report()
     assert set(report) == {
         "events",
         "loop_wall_s",
@@ -143,7 +153,7 @@ def test_report_and_summary_shapes():
     }
     for stats in report["by_event_type"].values():
         assert set(stats) == {"count", "wall_s", "allocs"}
-    summary = machine.sim.profiler.summary(top=2)
+    summary = prof.summary(top=2)
     assert set(summary) == {
         "events",
         "loop_wall_s",
@@ -155,8 +165,9 @@ def test_report_and_summary_shapes():
 
 
 def test_allocations_off_skips_the_meter():
-    machine, _ = _run(profiler=KernelProfiler(allocations=False))
-    report = machine.sim.profiler.report()
+    prof = KernelProfiler(allocations=False)
+    _run(profiler=prof)
+    report = prof.report()
     assert all(
         s["allocs"] == 0 for s in report["by_event_type"].values()
     )
@@ -166,8 +177,8 @@ def test_allocations_off_skips_the_meter():
 
 
 def test_kernel_chrome_trace_validates():
-    machine, _ = _run(profiler=KernelProfiler())
-    prof = machine.sim.profiler
+    prof = KernelProfiler()
+    _run(profiler=prof)
     doc = kernel_chrome_trace(
         prof, label="kernel:test", samples={"a;b": 3, "a;c": 1}
     )

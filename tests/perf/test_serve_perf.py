@@ -1,13 +1,15 @@
-"""Job timing through the scheduler and the ``/v1/perf`` endpoint.
+"""Job timing and kernel profiles through the serve daemon.
 
 End-to-end: a profiled serve daemon executes a cold run, the scheduler
-feeds the queue-delay / wall-time histograms, and ``/v1/perf`` reports
-the job's kernel-profile summary.  The durable half — ``repro-campaign
-status --json``'s ``scheduler`` block — is folded from ``jobs.jsonl``
-with no live scheduler at all.
+feeds the queue-delay / wall-time histograms that ``/v1/status``
+reports, and ``GET /v1/jobs/<id>`` returns the job's record with its
+kernel-profile summary.  The durable half — ``repro-campaign status
+--json``'s ``scheduler`` block — is folded from ``jobs.jsonl`` with no
+live scheduler at all.
 """
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -32,37 +34,50 @@ def http(method, url, body=None):
         return resp.status, json.loads(resp.read())
 
 
-@pytest.fixture(scope="module")
-def profiled_service(tmp_path_factory):
-    root = tmp_path_factory.mktemp("perf-serve")
-    svc = ServeService(root, workers=1, echo=None, profile=True).start()
+def run_cold(svc):
+    """POST ``SPEC`` and wait for it; returns the finished job's id."""
     status, body = http(
         "POST", svc.url + "/v1/runs", {"spec": SPEC, "wait_s": 120}
     )
     assert status == 200 and body["job"]["state"] == "done", body
-    yield svc
+    return body["job"]["id"]
+
+
+@pytest.fixture(scope="module")
+def profiled_run(tmp_path_factory):
+    """A profiled daemon and the id of the one cold job it ran."""
+    root = tmp_path_factory.mktemp("perf-serve")
+    svc = ServeService(root, workers=1, echo=None, profile=True).start()
+    job_id = run_cold(svc)
+    yield svc, job_id
     svc.close()
 
 
-def test_perf_endpoint_reports_profiled_jobs(profiled_service):
-    status, perf = http("GET", profiled_service.url + "/v1/perf")
+@pytest.fixture
+def profiled_service(profiled_run):
+    return profiled_run[0]
+
+
+def test_perf_endpoint_reports_profiled_jobs(profiled_run):
+    svc, job_id = profiled_run
+    status, body = http("GET", f"{svc.url}/v1/jobs/{job_id}")
     assert status == 200
-    assert perf["profile"] is True
-    jobs = perf["jobs"]
-    assert len(jobs) == 1
-    job = jobs[0]
-    assert job["state"] == "done" and job["status"] == "ok"
-    assert job["wall_s"] > 0
-    assert job["events"] > 0
-    assert job["events_per_sec"] > 0
+    job = body["job"]
+    assert job["state"] == "done"
+    record = job["record"]
+    assert record["status"] == "ok"
+    assert record["wall_s"] > 0
+    events = record["metrics"]["sim.events"]
+    assert events > 0
     # The kernel summary rode along on the record.
-    assert job["perf"]["events"] == job["events"]
-    assert job["perf"]["top_event_types"]
+    assert record["perf"]["events"] == events
+    assert record["perf"]["events_per_sec"] > 0
+    assert record["perf"]["top_event_types"]
 
 
 def test_scheduler_timing_histograms_fed(profiled_service):
-    status, perf = http("GET", profiled_service.url + "/v1/perf")
-    timing = perf["scheduler"]["timing"]
+    status, body = http("GET", profiled_service.url + "/v1/status")
+    timing = body["scheduler"]["timing"]
     assert set(timing) == {"queue_delay_s", "wall_s", "turnaround_s"}
     for name in ("queue_delay_s", "wall_s", "turnaround_s"):
         assert timing[name]["count"] >= 1, name
@@ -80,15 +95,20 @@ def test_status_carries_profile_flag_and_timing(profiled_service):
 def test_unprofiled_daemon_records_have_no_perf_block(tmp_path):
     svc = ServeService(tmp_path, workers=1, echo=None).start()
     try:
-        status, body = http(
-            "POST", svc.url + "/v1/runs", {"spec": SPEC, "wait_s": 120}
-        )
-        assert body["job"]["state"] == "done", body
-        _, perf = http("GET", svc.url + "/v1/perf")
-        assert perf["profile"] is False
-        assert perf["jobs"] and all("perf" not in j for j in perf["jobs"])
+        job_id = run_cold(svc)
+        _, body = http("GET", f"{svc.url}/v1/jobs/{job_id}")
+        assert body["job"]["record"]["status"] == "ok"
+        assert "perf" not in body["job"]["record"]
+        _, status = http("GET", svc.url + "/v1/status")
+        assert status["service"]["profile"] is False
     finally:
         svc.close()
+
+
+def test_perf_route_is_gone(profiled_service):
+    with pytest.raises(urllib.error.HTTPError) as info:
+        http("GET", profiled_service.url + "/v1/perf")
+    assert info.value.code == 404
 
 
 # -- durable fold (no live scheduler) -----------------------------------------

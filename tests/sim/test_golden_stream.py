@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import pytest
 
@@ -58,14 +58,16 @@ SPECS: Dict[str, Dict[str, Any]] = {
 HOST_FIELDS = ("wall_s", "key", "version")
 
 
-def canonical_record(
-    name: str, max_events: Optional[int] = None
-) -> Dict[str, Any]:
-    """``execute_run`` of one spec as canonical JSON, host fields dropped."""
-    record = execute_run(RunSpec.from_dict(SPECS[name]), max_events=max_events)
+def canonical(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A record as canonical JSON, host fields dropped."""
     for field in HOST_FIELDS:
         record.pop(field, None)
     return json.loads(json.dumps(record, sort_keys=True))
+
+
+def canonical_record(name: str) -> Dict[str, Any]:
+    """``execute_run`` of one spec as canonical JSON, host fields dropped."""
+    return canonical(execute_run(RunSpec.from_dict(SPECS[name])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,12 +90,23 @@ def test_record_matches_snapshot(name):
     assert record == snapshot()[name]
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_instrumented_loop_matches_bare_loop(name):
+@pytest.mark.parametrize("name,observed", [
+    pytest.param(name, observed, id=f"{name}-observed" if observed else name)
+    for observed in (False, True)
+    for name in sorted(SPECS)
+])
+def test_instrumented_loop_matches_bare_loop(name, observed):
     # An event budget forces the watchdog loop; it must replay the
-    # bare loop's stream exactly.
-    instrumented = canonical_record(name, max_events=10**9)
-    assert instrumented == json.loads(default_record(name))
+    # bare loop's stream exactly, and so must a run with the kernel
+    # profiler and the trace log attached once their blocks are dropped.
+    record = execute_run(
+        RunSpec.from_dict(SPECS[name]), max_events=10**9,
+        profile=observed, trace=observed,
+    )
+    if observed:
+        assert record.pop("perf")["events"] == record["metrics"]["sim.events"]
+        assert record.pop("trace_summary")["total"] > 0
+    assert canonical(record) == json.loads(default_record(name))
 
 
 def _crashing_sim() -> Simulator:

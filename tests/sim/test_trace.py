@@ -1,40 +1,57 @@
-"""Unit tests for the tracer."""
+"""The protocol trace log a simulator carries as ``sim.trace``."""
 
-from repro.sim import Tracer
+import json
+
+from repro.sim import Simulator
+from repro.telemetry import NULL_TRACE, EventStream, Telemetry
+
+
+class Unformattable:
+    """An argument whose formatting fails the test if it ever happens."""
+
+    def __format__(self, spec):
+        raise AssertionError("message formatted but not stored")
 
 
 def test_disabled_tracer_records_nothing():
-    t = Tracer(enabled=False)
-    t.log(1.0, "x", "msg")
+    assert not Telemetry(metrics=False).enabled
+    t = Simulator().trace
+    assert t is NULL_TRACE and not t.enabled
+    t.log(1.0, "x", "msg {}", Unformattable())
     assert len(t) == 0
+    assert t.records == ()
 
 
 def test_records_in_order():
-    t = Tracer()
+    telemetry = Telemetry(metrics=False, trace=True)
+    assert telemetry.enabled  # the trace log alone turns telemetry on
+    t = Simulator(telemetry=telemetry).trace
+    assert t.enabled
     t.log(1.0, "a", "first")
-    t.log(2.0, "b", "second")
-    assert t.records == [(1.0, "a", "first"), (2.0, "b", "second")]
+    t.log(2.0, "b", "{} {:.1f}", "second", 2)
+    assert t.records == [(1.0, "a", "first"), (2.0, "b", "second 2.0")]
 
 
 def test_category_filter():
-    t = Tracer(categories={"rndv"})
+    t = EventStream()
     t.log(1.0, "rndv", "kept")
-    t.log(2.0, "eager", "dropped")
-    assert len(t) == 1
-    assert t.select("rndv") == [(1.0, "rndv", "kept")]
-    assert t.select("eager") == []
+    t.log(2.0, "eager", "other")
+    t.log(3.0, "rndv", "kept again")
+    assert t.select("rndv") == [(1.0, "rndv", "kept"), (3.0, "rndv", "kept again")]
+    assert t.select("eager") == [(2.0, "eager", "other")]
+    assert t.select("cts") == []
 
 
 def test_limit_and_dropped_count():
-    t = Tracer(limit=2)
+    t = EventStream(limit=2)
     for i in range(5):
-        t.log(float(i), "c", "m")
+        t.log(float(i), "c", "m {}", i if i < 2 else Unformattable())
     assert len(t) == 2
     assert t.dropped == 3
 
 
 def test_clear():
-    t = Tracer()
+    t = EventStream()
     t.log(1.0, "c", "m")
     t.clear()
     assert len(t) == 0
@@ -42,7 +59,7 @@ def test_clear():
 
 
 def test_summary_counts_categories_and_dropped():
-    t = Tracer(limit=4)
+    t = EventStream(limit=4)
     for i in range(3):
         t.log(float(i), "rndv", "m")
     t.log(3.0, "eager", "m")
@@ -54,16 +71,18 @@ def test_summary_counts_categories_and_dropped():
 
 
 def test_summary_empty_tracer():
-    assert Tracer().summary() == {
+    empty = {
         "total": 0,
         "dropped": 0,
         "by_category": {},
         "dropped_by_category": {},
     }
+    assert EventStream().summary() == empty
+    assert NULL_TRACE.summary() == empty
 
 
 def test_summary_reports_drops_per_category():
-    t = Tracer(limit=2)
+    t = EventStream(limit=2)
     t.log(0.0, "rndv", "kept")
     t.log(1.0, "eager", "kept")
     t.log(2.0, "rndv", "over limit")
@@ -77,8 +96,6 @@ def test_summary_reports_drops_per_category():
 
 
 def test_summary_is_json_ready():
-    import json
-
-    t = Tracer()
+    t = EventStream()
     t.log(1.0, "a", "m")
     assert json.loads(json.dumps(t.summary())) == t.summary()

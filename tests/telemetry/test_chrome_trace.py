@@ -6,7 +6,6 @@ import pytest
 
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import Machine
-from repro.sim import Tracer
 from repro.telemetry import (
     Telemetry,
     chrome_trace,
@@ -24,8 +23,7 @@ def traced_machine():
         "ib",
         2,
         seed=0,
-        trace=Tracer(enabled=True),
-        telemetry=Telemetry(metrics=True, timeline=True),
+        telemetry=Telemetry(metrics=True, timeline=True, trace=True),
     )
     machine.run(pingpong_program(size=65536, repetitions=4))
     return machine
@@ -39,7 +37,7 @@ def test_trace_has_valid_shape(traced_machine):
     phases = {e["ph"] for e in events}
     assert "M" in phases  # metadata names
     assert "X" in phases  # resource occupancy spans
-    assert "i" in phases  # tracer instants
+    assert "i" in phases  # trace-log instants
 
 
 def test_complete_events_have_nonnegative_duration(traced_machine):
@@ -94,12 +92,28 @@ def test_validate_rejects_malformed_traces():
         )  # complete event without dur
 
 
+def test_trace_log_drops_are_reported():
+    machine = Machine(
+        "ib", 2, seed=0, telemetry=Telemetry(metrics=False, trace=True)
+    )
+    machine.sim.trace.limit = 2
+    machine.run(pingpong_program(size=65536, repetitions=2))
+    trace = machine.chrome_trace()
+    instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+    assert len(instants) == 2
+    dropped = trace["otherData"]["dropped"]["trace"]
+    assert dropped == machine.sim.trace.dropped_by_category
+    assert sum(dropped.values()) == machine.sim.trace.dropped > 0
+    assert list(dropped) == sorted(dropped)
+
+
 def test_trace_without_timeline_still_exports(tmp_path):
     machine = Machine("elan", 2, seed=0, telemetry=Telemetry(metrics=True))
     machine.run(pingpong_program(size=1024, repetitions=2))
     trace = chrome_trace(machine.sim, label="elan-pp")
     validate_trace(trace)
     assert trace["otherData"]["metrics"]["qmpi.tx"] > 0
+    assert trace["otherData"]["dropped"]["trace"] == {}
     path = tmp_path / "t.json"
     write_chrome_trace(path, machine.sim, label="elan-pp")
     load_trace(path)
@@ -112,8 +126,7 @@ def test_traces_are_deterministic(tmp_path):
             "ib",
             2,
             seed=3,
-            trace=Tracer(enabled=True),
-            telemetry=Telemetry(metrics=True, timeline=True),
+            telemetry=Telemetry(metrics=True, timeline=True, trace=True),
         )
         machine.run(pingpong_program(size=4096, repetitions=3))
         docs.append(json.dumps(machine.chrome_trace(), sort_keys=True))

@@ -7,7 +7,6 @@ import pytest
 from repro.campaign import CampaignEngine, CampaignSpec
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import Machine
-from repro.sim import Tracer
 from repro.telemetry import Telemetry
 from repro.telemetry.chrome import write_chrome_trace
 from repro.telemetry.cli import main as trace_main
@@ -208,19 +207,18 @@ def test_campaign_without_blame_keeps_lean_records(tmp_path):
 
 
 def test_chrome_trace_carries_lifecycle_and_series_events(tmp_path):
-    tracer = Tracer(enabled=True)
     machine = Machine(
         "ib",
         2,
         seed=0,
-        trace=tracer,
         telemetry=Telemetry(
-            metrics=True, timeline=True, lifecycle=True, series=True
+            metrics=True, timeline=True, lifecycle=True, series=True,
+            trace=True,
         ),
     )
     machine.run(pingpong_program(size=65536, repetitions=2))
     path = tmp_path / "trace.json"
-    trace = write_chrome_trace(path, machine.sim, tracer=tracer, label="t")
+    trace = write_chrome_trace(path, machine.sim, label="t")
     events = trace["traceEvents"]
     lifecycle = [
         e for e in events if str(e.get("cat", "")).startswith("lifecycle.")
