@@ -3,11 +3,39 @@
 Stdlib only: :mod:`http.server` (a :class:`ThreadingHTTPServer`, whose
 ``serve_forever`` loop polls the listening socket through
 :mod:`selectors`) in front of the campaign
-:class:`~repro.campaign.scheduler.JobScheduler`.  Handlers never block
-on simulation work — they resolve against the result cache, coalesce
-onto in-flight jobs, or schedule onto the worker pool and answer with a
-job handle (``repro-lint`` rule RPR011 enforces this: no ``time.sleep``
-or direct engine/run calls inside handler code paths).
+:class:`~repro.campaign.scheduler.JobScheduler`.  The stdlib keeps the
+connection loop (``handle``/``handle_one_request``, ``send_error``);
+the handler parses requests and formats responses itself.  The parser
+reads the request line and at most :data:`MAX_HEADERS` header lines,
+splits each line on its first colon into a dict keyed by the
+lower-cased name (the first of a repeated field wins) and applies the
+stdlib's keep-alive and ``Expect: 100-continue`` rules.  What it
+refuses, each reply with ``Connection: close``::
+
+    400  request line without exactly three words (HTTP/0.9 included),
+         a malformed HTTP version, a header line without a colon or with
+         a space before it, an obs-fold continuation line, repeated
+         Content-Length values that disagree, a Content-Length that is
+         not 1*DIGIT
+    414  request line over 64 KiB
+    431  header line over 64 KiB, more than MAX_HEADERS header lines
+    501  any Transfer-Encoding; a method other than GET and POST
+    505  an HTTP major version other than 1
+
+A response's status line and headers (``Server``, ``Date``,
+``Content-Type``, ``Location`` if any, ``Content-Length``) come from one
+format and leave with the body in one write; ``Date`` is formatted at
+most once a second.
+
+Handlers never block on simulation work — they resolve against the
+result cache, coalesce onto in-flight jobs, or schedule onto the worker
+pool and answer with a job handle (``repro-lint`` rule RPR011 enforces
+this: no ``time.sleep`` or direct engine/run calls inside handler code
+paths).  A serial worker simulates in the daemon's own interpreter, so
+handlers and the worker take turns on the GIL: a handler yields the CPU
+after every request, and :meth:`ServeService.serve_forever` lowers the
+switch interval to :data:`SWITCH_INTERVAL_S`, so a busy keep-alive
+client and a running simulation alternate one request at a time.
 
 API (all JSON unless noted)::
 
@@ -32,17 +60,23 @@ Every request lands in the service's own
 :class:`~repro.telemetry.registry.MetricsRegistry` (request counters,
 per-endpoint latency histograms, cache hit/miss/coalesce tallies) —
 the same instrument kit the simulator uses, pointed at the service.
+The whole instrument set is registered when the service starts, so the
+registry never grows while ``/v1/metrics`` exports it.
 """
 
 from __future__ import annotations
 
+import email.utils
 import json
 import math
+import os
+import re
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from typing import IO, Any, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from ..campaign.cli import status_payload
 from ..campaign.scheduler import Cached, JobScheduler, Submission
@@ -64,6 +98,34 @@ MAX_WAIT_S = 300.0
 #: leaves in one socket write when the request is done.
 WRITE_BUFFER_BYTES = 64 * 1024
 
+#: GIL switch interval while :meth:`ServeService.serve_forever` runs the
+#: daemon: how long a handler waits for the GIL before it asks a running
+#: simulation to hand it over (the interpreter's default is 5 ms).
+SWITCH_INTERVAL_S = 0.001
+
+#: Called after every request: gives the CPU, and with it the GIL, to a
+#: thread that waits for them (a simulating worker), so one keep-alive
+#: client cannot hold them for a run of back-to-back requests.
+_yield_cpu = getattr(os, "sched_yield", lambda: None)
+
+#: Header lines a request may carry, and the longest header line in
+#: bytes (the stdlib's limits).
+MAX_HEADERS = 100
+MAX_LINE_BYTES = 65536
+
+#: Route names as the metrics see them.  ``unrouted`` counts the
+#: requests no route answered (unknown paths and errors raised before
+#: a route returned).
+ROUTES = (
+    "runs.post", "campaigns.post", "jobs.get", "events.get",
+    "campaigns.get", "records.get", "explain.get", "status.get",
+    "metrics.get", "unrouted",
+)
+
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+#: A header field name (RFC 9110 token): no spaces, no separators.
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
 #: Cache keys are 32 lowercase hex digits (RunSpec.key); anything else
 #: is rejected before it can reach the filesystem layer.
 _KEY_ALPHABET = set("0123456789abcdef")
@@ -79,6 +141,38 @@ class _HttpError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
+
+
+def read_headers(rfile: IO[bytes]) -> Dict[str, str]:
+    """The header block of one request, ``{lower-cased name: value}``.
+
+    Values lose the spaces and tabs around them; the first of a repeated
+    field wins.  Raises :class:`_HttpError` with the module docstring's
+    answer for a malformed block.
+    """
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _HttpError(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = str(line, "iso-8859-1").partition(":")
+        # Also refuses an obs-fold line, which starts with a space.
+        if not colon or _TOKEN.fullmatch(name) is None:
+            raise _HttpError(400, "Bad header line")
+        name = name.lower()
+        value = value.strip(" \t\r\n")
+        if headers.setdefault(name, value) != value and name == "content-length":
+            raise _HttpError(400, "Conflicting Content-Length")
+    else:
+        raise _HttpError(431, "Too many headers")
+    if "transfer-encoding" in headers:
+        raise _HttpError(501, "Transfer-Encoding is not supported")
+    length = headers.get("content-length")
+    if length is not None and not (length.isascii() and length.isdigit()):
+        raise _HttpError(400, "Bad Content-Length")
+    return headers
 
 
 class CampaignHandle:
@@ -153,13 +247,39 @@ class ServeState:
 
         self.root = root
         self.echo = echo
-        self.metrics = MetricsRegistry()
-        #: Job-timing histograms fetched once so the per-request status
-        #: path never touches the registry lock.
+        self.metrics = metrics = MetricsRegistry()
+        # Every instrument the daemon updates is fetched here, once: the
+        # registry takes no lock, so one created on first use by one
+        # handler thread could change its dicts under another thread's
+        # /v1/metrics export.
+        #: Job-timing histograms (fed by the scheduler).
         self._timing_hists = tuple(
-            (name, self.metrics.histogram(f"scheduler.jobs.{name}"))
+            (name, metrics.histogram(f"scheduler.jobs.{name}"))
             for name in ("queue_delay_s", "wall_s", "turnaround_s")
         )
+        #: Every request a route or the router answered.
+        self.requests = metrics.counter("serve.requests")
+        #: Per route: (request counter, latency histogram).
+        self.by_route = {
+            route: (
+                metrics.counter(f"serve.http.{route}.requests"),
+                metrics.histogram(f"serve.http.{route}.latency_us"),
+            )
+            for route in ROUTES
+        }
+        #: Per status class of those answers (2 for 2xx; 4xx, 5xx).
+        self.by_status = {
+            cls: metrics.counter(f"serve.http.responses.{cls}xx")
+            for cls in (2, 4, 5)
+        }
+        hits = metrics.counter("serve.cache.hits")
+        #: Per Submission.source: the cache tally it bumps.
+        self._tallies = {
+            "cache": hits,
+            "journal": hits,
+            "coalesced": metrics.counter("serve.cache.coalesced"),
+            "scheduled": metrics.counter("serve.cache.misses"),
+        }
         #: Kernel-profile every executed job (adds a ``perf`` block to
         #: each fresh record).
         self.profile = profile
@@ -199,12 +319,7 @@ class ServeState:
         sub = self.scheduler.submit(
             spec, force=force, journaled=self.journaled, lifecycle=lifecycle
         )
-        if sub.source in ("cache", "journal"):
-            self.metrics.counter("serve.cache.hits").inc()
-        elif sub.source == "coalesced":
-            self.metrics.counter("serve.cache.coalesced").inc()
-        else:
-            self.metrics.counter("serve.cache.misses").inc()
+        self._tallies[sub.source].inc()
         return sub
 
     def new_campaign(self, name: str) -> CampaignHandle:
@@ -294,12 +409,55 @@ class ServeHandler(BaseHTTPRequestHandler):
     def handle_one_request(self) -> None:
         try:
             super().handle_one_request()
+            _yield_cpu()
         except ConnectionError:
             # The client went away before the buffered answer left.  Drop
             # the answer: closing the writer in finish() would resend it
             # and raise again.
             self.wfile.raw.close()
             self.close_connection = True
+
+    def parse_request(self) -> bool:
+        """Parse one request's line and headers (module docstring).
+
+        Sets what the stdlib's parser sets: ``command``, ``path``,
+        ``request_version``, ``headers`` (here a plain dict, see
+        :func:`read_headers`) and ``close_connection``.  Returns False
+        once a malformed request has had its error reply.
+        """
+        self.command = None
+        # Unknown until parsed; any value but "HTTP/0.9" keeps the status
+        # line on an error reply.
+        self.request_version = ""
+        self.close_connection = True
+        self.requestline = requestline = str(
+            self.raw_requestline, "iso-8859-1"
+        ).rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False  # a blank line: close without an answer
+        try:
+            if len(words) != 3:
+                raise _HttpError(400, f"Bad request syntax ({requestline!r})")
+            version = words[2]
+            match = _HTTP_VERSION.fullmatch(version)
+            if match is None:
+                raise _HttpError(400, f"Bad request version ({version!r})")
+            if int(match[1]) != 1:
+                raise _HttpError(505, f"Invalid HTTP version ({version[5:]})")
+            self.command, self.path, self.request_version = words
+            self.headers = headers = read_headers(self.rfile)
+        except _HttpError as exc:
+            self.send_error(exc.code, str(exc))
+            return False
+        http11 = int(match[2]) >= 1
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            not http11 and connection != "keep-alive"
+        )
+        if http11 and headers.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
 
     def handle_expect_100(self) -> bool:
         # The client holds the body back until it sees this line, so it
@@ -316,13 +474,17 @@ class ServeHandler(BaseHTTPRequestHandler):
         location: Optional[str] = None,
     ) -> int:
         data = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        if location:
-            self.send_header("Location", location)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        self.log_request(code)
+        location_line = f"Location: {location}\r\n" if location else ""
+        head = (
+            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.server.http_date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"{location_line}"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + data)
         return code
 
     def _send_json(
@@ -336,7 +498,7 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Dict[str, Any]:
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(self.headers.get("content-length") or 0)
         except ValueError:
             raise _HttpError(400, "bad Content-Length") from None
         if length <= 0:
@@ -390,7 +552,6 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         t0 = time.perf_counter()  # repro-lint: disable=RPR001
-        metrics = self.state.metrics
         route = "unrouted"
         try:
             route, code = self._route(method)
@@ -405,25 +566,26 @@ class ServeHandler(BaseHTTPRequestHandler):
                 500, {"error": f"{type(exc).__name__}: {exc}"}
             )
         latency_us = (time.perf_counter() - t0) * 1e6  # repro-lint: disable=RPR001
-        metrics.counter("serve.requests").inc()
-        metrics.counter(f"serve.http.{route}.requests").inc()
-        metrics.histogram(f"serve.http.{route}.latency_us").observe(latency_us)
-        metrics.counter(f"serve.http.responses.{code // 100}xx").inc()
+        state = self.state
+        state.requests.inc()
+        requests, latency = state.by_route[route]
+        requests.inc()
+        latency.observe(latency_us)
+        state.by_status[code // 100].inc()
 
     def _route(self, method: str) -> Tuple[str, int]:
         """Dispatch one request; returns (route-name, status) for metrics."""
-        url = urlsplit(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        query = parse_qs(url.query)
+        path, _, query = self.path.partition("?")
+        parts = [p for p in path.split("/") if p]
         if len(parts) < 2 or parts[0] != "v1":
-            raise _HttpError(404, f"unknown path {url.path!r}")
+            raise _HttpError(404, f"unknown path {path!r}")
         head = parts[1]
         if method == "POST":
             if parts == ["v1", "runs"]:
                 return "runs.post", self._post_run()
             if parts == ["v1", "campaigns"]:
                 return "campaigns.post", self._post_campaign()
-            raise _HttpError(404, f"unknown POST path {url.path!r}")
+            raise _HttpError(404, f"unknown POST path {path!r}")
         if head == "jobs" and len(parts) == 3:
             return "jobs.get", self._get_job(parts[2])
         if head == "jobs" and len(parts) == 4 and parts[3] == "events":
@@ -440,7 +602,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             return "metrics.get", self._send_json(
                 200, self.state.metrics.as_dict()
             )
-        raise _HttpError(404, f"unknown path {url.path!r}")
+        raise _HttpError(404, f"unknown path {path!r}")
 
     # -- routes --------------------------------------------------------------
 
@@ -537,11 +699,12 @@ class ServeHandler(BaseHTTPRequestHandler):
             if job is None or job.done or remaining <= 0:
                 return 200
 
-    def _get_campaign(self, campaign_id: str, query: Dict[str, List[str]]) -> int:
+    def _get_campaign(self, campaign_id: str, query: str) -> int:
         handle = self.state.campaigns.get(campaign_id)
         if handle is None:
             raise _HttpError(404, f"no such campaign {campaign_id!r}")
-        include = query.get("records", ["0"])[-1] not in ("0", "", "false")
+        records = parse_qs(query).get("records", ["0"])[-1]
+        include = records not in ("0", "", "false")
         body = handle.to_dict(self.state.scheduler, include_records=include)
         return self._send_json(200, {"campaign": body})
 
@@ -577,7 +740,22 @@ class ReproServer(ThreadingHTTPServer):
 
     def __init__(self, address: Tuple[str, int], state: ServeState) -> None:
         self.state = state
+        #: The second and ``Date`` value of the latest response.
+        self._date = (0, "")
         super().__init__(address, ServeHandler)
+
+    def http_date(self) -> str:
+        """The ``Date`` header value, formatted at most once a second.
+
+        Handler threads that race into a new second may each format it;
+        they store the same text.
+        """
+        now = int(time.time())  # repro-lint: disable=RPR001
+        second, text = self._date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
 
 class ServeService:
@@ -624,8 +802,18 @@ class ServeService:
         return self
 
     def serve_forever(self) -> None:
+        """Serve in the calling thread until interrupted or shut down.
+
+        The daemon owns its interpreter here, so it also sets the GIL
+        switch interval (:data:`SWITCH_INTERVAL_S`) until it returns.
+        """
         self._startup()
-        self.server.serve_forever(poll_interval=0.2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(SWITCH_INTERVAL_S)
+        try:
+            self.server.serve_forever(poll_interval=0.2)
+        finally:
+            sys.setswitchinterval(interval)
 
     def close(self) -> None:
         if self._thread is not None:

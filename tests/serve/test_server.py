@@ -195,6 +195,54 @@ def test_hit_answer_is_one_socket_write(service, monkeypatch):
     assert len(writes) == 1
 
 
+def test_every_request_yields_the_cpu(service, monkeypatch):
+    # A simulating worker gets the GIL back after each answer instead of
+    # waiting out a run of back-to-back keep-alive requests.
+    import repro.serve.server as server
+
+    # By thread: handlers of earlier tests' connections may still yield
+    # once after their last answer and once at the client's EOF.
+    yields = []
+    monkeypatch.setattr(
+        server, "_yield_cpu", lambda: yields.append(threading.get_ident())
+    )
+    conn = HTTPConnection(service.host, service.port, timeout=60)
+    try:
+        for _ in range(3):
+            conn.request("POST", "/v1/runs", body=json.dumps(SPEC))
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+        deadline = time.monotonic() + 10
+        while (max(map(yields.count, yields), default=0) < 3
+               and time.monotonic() < deadline):
+            time.sleep(0.01)  # the yield follows the answer
+        # This connection's handler: once a request.
+        assert max(map(yields.count, yields), default=0) == 3
+    finally:
+        conn.close()
+
+
+def test_serve_forever_sets_the_switch_interval_until_it_returns(tmp_path):
+    from repro.serve.server import SWITCH_INTERVAL_S
+
+    before = sys.getswitchinterval()
+    svc = ServeService(tmp_path, workers=1, echo=None)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    try:
+        # Answered only once serve_forever's loop runs.
+        status, _ = http("GET", svc.url + "/v1/status")
+        assert status == 200
+        assert sys.getswitchinterval() == SWITCH_INTERVAL_S
+    finally:
+        svc.server.shutdown()
+        thread.join(timeout=10)
+        svc.close()
+    assert not thread.is_alive()
+    assert sys.getswitchinterval() == before
+
+
 def test_expect_100_continue_arrives_before_the_body(service):
     body = json.dumps(SPEC).encode()
     with socket.create_connection(
@@ -432,6 +480,55 @@ def test_metrics_expose_request_and_cache_counters(service):
     assert metrics["serve.http.runs.post.requests"] >= 1
     assert metrics["serve.http.runs.post.latency_us.count"] >= 1
     assert metrics["serve.http.responses.2xx"] >= 1
+
+
+def test_metrics_registry_is_fixed_at_start(tmp_path, monkeypatch):
+    """Every instrument exists from start-up, so no request adds one
+    while another thread's /v1/metrics export iterates the registry."""
+    CampaignEngine(root=tmp_path, workers=1, echo=None).run_specs(
+        [RunSpec.from_dict(SPEC)]
+    )
+    svc = ServeService(tmp_path, workers=1, echo=None).start()
+    try:
+        url, scheduler = svc.url, svc.state.scheduler
+        before = len(svc.state.metrics)
+
+        http("POST", url + "/v1/runs", SPEC)  # hit
+        spec = dict(SPEC, app_args={"size": 8})
+        held, scheduler._dispatch = scheduler._dispatch, lambda job: None
+        try:
+            _, miss = http("POST", url + "/v1/runs",
+                           {"spec": spec, "lifecycle": True})
+            http("POST", url + "/v1/runs", spec)  # coalesced
+        finally:
+            scheduler._dispatch = held
+        scheduler.start()
+        scheduler.wait(timeout_s=60)
+        job_id, key = miss["job"]["id"], miss["key"]
+        _, body = http("POST", url + "/v1/campaigns", {"spec": CAMPAIGN})
+        for path in (
+            f"/v1/jobs/{job_id}", f"/v1/jobs/{job_id}/events",
+            f"/v1/campaigns/{body['campaign']['id']}", f"/v1/runs/{key}",
+            f"/v1/runs/{key}/explain", "/v1/status", "/v1/metrics",
+        ):
+            assert http("GET", url + path)[0] == 200, path
+        assert http_error("GET", url + "/nope")[0] == 404
+        monkeypatch.setattr(svc.state, "status", lambda: 1 / 0)
+        assert http_error("GET", url + "/v1/status")[0] == 500
+
+        metrics = svc.state.metrics.as_dict()
+        assert len(svc.state.metrics) == before
+        for route in ("runs.post", "campaigns.post", "jobs.get",
+                      "events.get", "campaigns.get", "records.get",
+                      "explain.get", "status.get", "metrics.get",
+                      "unrouted"):
+            assert metrics[f"serve.http.{route}.requests"] >= 1, route
+        for name in ("hits", "misses", "coalesced"):
+            assert metrics[f"serve.cache.{name}"] >= 1, name
+        for cls in (2, 4, 5):
+            assert metrics[f"serve.http.responses.{cls}xx"] >= 1, cls
+    finally:
+        svc.close()
 
 
 # -- error handling -----------------------------------------------------------
