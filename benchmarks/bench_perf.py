@@ -2,8 +2,9 @@
 
 Not a paper figure — a performance acceptance pass for the topology
 and failover subsystems.  Both tests are thin wrappers over
-:mod:`repro.perf.ladder`: the same rungs the ``repro-perf`` CLI runs
-(and records in ``BENCH_perf.json``), asserted on here.
+:mod:`repro.perf.ladder`: the same rungs, timed unprofiled over the
+same trials, that the ``repro-perf`` CLI runs (and records in
+``BENCH_perf.json``), asserted on here.
 """
 
 from repro.perf import ladder_cases, run_case
@@ -11,10 +12,7 @@ from repro.perf.ladder import FLOOR_EVENTS_PER_SEC
 
 
 def _run(names, quick: bool):
-    return [
-        run_case(case, quick=quick, profile=True)
-        for case in ladder_cases(names)
-    ]
+    return [run_case(case, quick=quick) for case in ladder_cases(names)]
 
 
 def test_topology_events_per_sec(benchmark, quick):

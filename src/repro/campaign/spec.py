@@ -345,6 +345,15 @@ class CampaignSpec:
             )
         return specs
 
+    def run_count(self) -> int:
+        """How many runs :meth:`expand` returns, counted without building
+        them: the grid's product (the base alone when there is no grid
+        and no points) plus the points, times the repetitions."""
+        grid = 0
+        if self.grid or not self.points:
+            grid = math.prod(len(values) for values in self.grid.values())
+        return (grid + len(self.points)) * self.repetitions
+
     def _repeat(self, point: Dict[str, Any]) -> Iterable[RunSpec]:
         return (
             _point_to_spec(point, seed=self.seed_base + rep)

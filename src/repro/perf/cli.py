@@ -1,15 +1,16 @@
 """The ``repro-perf`` console script: run / diff / list.
 
-``run`` executes the standard workload ladder under the kernel
-profiler and writes ``BENCH_perf.json``.  ``diff`` compares two results
-files and exits nonzero on an events/sec regression past the threshold
-— the CI perf gate.
+``run`` times the standard workload ladder, unprofiled, over a fixed
+number of trials per rung and writes ``BENCH_perf.json``.  ``diff``
+compares two results files and exits nonzero when a rung's median
+``wall_s`` grew past the threshold — the CI perf gate, which diffs the
+merge base's ladder against the head's on one runner.
 
 Examples::
 
     repro-perf run --quick -o BENCH_perf.json
-    repro-perf run --case crossbar-64 --sample --flamegraph perf/
-    repro-perf diff BENCH_perf.json /tmp/BENCH_perf.json --threshold 0.25
+    repro-perf run --quick --case barrier-256 -o /tmp/barrier.json
+    repro-perf diff /tmp/base.json /tmp/head.json --threshold 0.25
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional
 
 from ..errors import ReproError
 from .diff import DEFAULT_THRESHOLD, compare_results, load_results, render_comparison
-from .ladder import LADDER, ladder_cases, run_ladder, write_results
+from .ladder import LADDER, TRIALS, ladder_cases, run_ladder, write_results
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -36,20 +37,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = run_ladder(
         names=names,
         quick=args.quick,
-        profile=not args.no_profile,
-        sample=args.sample,
-        flamegraph_dir=Path(args.flamegraph) if args.flamegraph else None,
-        chrome_dir=Path(args.chrome) if args.chrome else None,
         progress=None if args.quiet else (
             lambda line: print(line, file=sys.stderr)
         ),
     )
     write_results(rows, out)
-    print(f"{'case':>22} {'events':>10} {'wall_s':>8} {'events/sec':>12}")
+    print(
+        f"{'case':>22} {'events':>10} {'wall_s':>8} {'min':>8} "
+        f"{'max':>8} {'events/sec':>12}"
+    )
     for row in rows:
         print(
             f"{row['case']:>22} {row['events']:>10} "
-            f"{row['wall_s']:>8.3f} {row['events_per_sec']:>12}"
+            f"{row['wall_s']:>8.3f} {row['wall_s_min']:>8.3f} "
+            f"{row['wall_s_max']:>8.3f} {row['events_per_sec']:>12}"
         )
     print(f"wrote {out}")
     return 0
@@ -82,12 +83,14 @@ def cmd_list(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-perf",
-        description="Simulator self-profiling: run the perf ladder and "
-        "gate events/sec regressions.",
+        description="The simulator's speedometer: time the perf ladder "
+        "and gate wall-time regressions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the workload ladder")
+    run = sub.add_parser(
+        "run", help=f"time the workload ladder ({TRIALS} trials per rung)"
+    )
     run.add_argument(
         "--quick",
         action="store_true",
@@ -106,35 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this ladder case (repeatable; see `repro-perf list`)",
     )
     run.add_argument(
-        "--no-profile",
-        action="store_true",
-        help="skip per-event attribution (plain wall-clock timing only)",
-    )
-    run.add_argument(
-        "--sample",
-        action="store_true",
-        help="capture periodic Python stacks while each case runs",
-    )
-    run.add_argument(
-        "--flamegraph",
-        metavar="DIR",
-        help="with --sample, write <case>.collapsed folded-stack files "
-        "here (flamegraph.pl / speedscope input)",
-    )
-    run.add_argument(
-        "--chrome",
-        metavar="DIR",
-        help="write <case>.kernel.trace.json Chrome-trace kernel "
-        "attribution here",
-    )
-    run.add_argument(
         "--quiet", action="store_true", help="suppress per-case progress"
     )
     run.set_defaults(func=cmd_run)
 
     diff = sub.add_parser(
         "diff",
-        help="compare two results files; exit 1 on events/sec regression",
+        help="compare two results files; exit 1 when a rung's median "
+        "wall_s grew past the threshold",
     )
     diff.add_argument("baseline", help="baseline BENCH_perf.json")
     diff.add_argument("current", help="current BENCH_perf.json")
@@ -142,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=DEFAULT_THRESHOLD,
-        help="allowed fractional events/sec drop "
+        help="allowed fractional growth of median wall_s "
         f"(default {DEFAULT_THRESHOLD}; generous to absorb runner noise)",
     )
     diff.add_argument(

@@ -1,11 +1,16 @@
-"""The perf ladder: a fixed workload set that floors kernel throughput.
+"""The perf ladder: a fixed workload set, timed unprofiled.
 
-Each rung is one simulation the repo already cares about — the
-far-rank ping-pong on three fabrics, b_eff rings, a Sweep3D wavefront,
-and the degraded-fabric failover case — run under the
-:class:`~.profiler.KernelProfiler` and reduced to an events/sec row.
-``repro-perf run`` emits the rows as ``BENCH_perf.json``, the one
-trajectory file ``repro-perf diff`` gates against.
+Each rung is one simulation the repo already cares about — start-up
+alone on 256 ranks, the far-rank ping-pong on three fabrics, b_eff
+rings, a Sweep3D wavefront, and the degraded-fabric failover case.
+Every rung runs :data:`TRIALS` times on fresh machines with no observer
+attached, so the kernel takes its bare loop, and its row reports the
+median ``wall_s`` with the fastest and slowest trial beside it.  The
+event count and events/sec ride along as diagnostics: a trial that
+processes a different number of events than the first is a broken
+rung, not noise, and raises.  ``repro-perf run`` emits the rows as
+``BENCH_perf.json``; ``repro-perf diff`` gates median ``wall_s``
+between two such files.
 
 Case labels are stable identifiers: the diff gate matches baseline to
 current rows by ``case``, so renaming a rung resets its trajectory.
@@ -13,10 +18,12 @@ current rows by ``case``, so renaming a rung resets its trajectory.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps import Sweep3dConfig, sweep3d_program
 from ..faults import FaultPlan
@@ -26,14 +33,16 @@ from ..microbench.beff import (
     beff_program,
     beff_sizes,
 )
-from ..mpi import Machine, MpiRank
+from ..mpi import Machine, MpiRank, RunResult
 from ..topology import TopologySpec
 from ..units import MiB, geometric_mean
-from .profiler import KernelProfiler, _clock, kernel_chrome_trace
-from .sampling import StackSampler
+from .profiler import _clock
 
 #: Ping-pong payload, matching the historical bench_perf.py runs.
 PINGPONG_SIZE = 8192
+
+#: Timed trials per rung; the row reports their median, min and max.
+TRIALS = 5
 
 #: Throughput floor (events/sec) every rung must clear — an
 #: order-of-magnitude tripwire, not a tuned bound.
@@ -64,13 +73,19 @@ def far_pingpong(size: int, repetitions: int):
     return program
 
 
+def idle(mpi: MpiRank):
+    """No work: the run is MPI_Init plus the start-up barrier."""
+    yield from ()
+
+
 @dataclass(frozen=True)
 class LadderCase:
     """One rung: a named workload with quick and full parameters."""
 
     #: Stable identifier (the diff gate's join key).
     name: str
-    #: Workload family: ``pingpong`` | ``beff`` | ``sweep3d`` | ``degraded``.
+    #: Workload family: ``barrier`` | ``pingpong`` | ``beff`` |
+    #: ``sweep3d`` | ``degraded``.
     app: str
     network: str
     nodes: int
@@ -82,10 +97,21 @@ class LadderCase:
         return self.params["quick" if quick else "full"][key]
 
 
+#: The 256-rank fat tree of ``fattree-256``, which ``barrier-256`` starts
+#: up alone.
+_FATTREE_256 = TopologySpec(kind="fattree", radix=16)
+
 #: The standard ladder.  Labels ``crossbar-64``/``fattree-256`` and
 #: ``degraded-fattree-64`` predate the ladder (``benchmarks/bench_perf.py``
 #: runs them by name) and must not change.
 LADDER: List[LadderCase] = [
+    LadderCase(
+        name="barrier-256",
+        app="barrier",
+        network="elan",
+        nodes=256,
+        topology=_FATTREE_256,
+    ),
     LadderCase(
         name="crossbar-64",
         app="pingpong",
@@ -98,7 +124,7 @@ LADDER: List[LadderCase] = [
         app="pingpong",
         network="elan",
         nodes=256,
-        topology=TopologySpec(kind="fattree", radix=16),
+        topology=_FATTREE_256,
         params={"quick": {"reps": 50}, "full": {"reps": 400}},
     ),
     LadderCase(
@@ -151,38 +177,52 @@ def ladder_cases(names: Optional[Sequence[str]] = None) -> List[LadderCase]:
 
 # -- one rung ----------------------------------------------------------------
 
-
-def _machine(
-    case: LadderCase,
-    profiler: Optional[KernelProfiler],
-    plan: Optional[FaultPlan] = None,
-) -> Machine:
-    return Machine(
-        case.network,
-        case.nodes,
-        seed=0,
-        topology=case.topology,
-        faults=plan,
-        profiler=profiler,
-    )
+#: Builds a rung's program for one fresh machine.
+ProgramFor = Callable[[Machine], Callable[[MpiRank], Any]]
 
 
-def _timed_run(machine: Machine, program, check_invariants: bool = True):
-    """Run ``program`` and return ``(result, wall_s, events)``.
+def _timed_run(
+    case: LadderCase, program_for: ProgramFor, plan: Optional[FaultPlan] = None
+) -> Tuple[RunResult, Machine, float]:
+    """Build a machine, run the rung's program; ``(result, machine, wall_s)``.
 
-    Wall time comes from the profiler module's clock around the run so
-    the events/sec denominator and the attribution share one timebase.
+    The clock covers ``Machine.run`` only, not the machine's build.  A
+    full collection first frees the garbage of earlier runs, so no run
+    pays for collecting another's machine.
     """
+    machine = Machine(
+        case.network, case.nodes, seed=0, topology=case.topology, faults=plan
+    )
+    program = program_for(machine)
+    gc.collect()
     t0 = _clock()
-    result = machine.run(program, check_invariants=check_invariants)
-    wall = _clock() - t0
-    return result, wall, machine.sim.events_processed
+    result = machine.run(program, check_invariants=True)
+    return result, machine, _clock() - t0
 
 
-def _base_row(
-    case: LadderCase, quick: bool, events: int, wall: float
-) -> Dict[str, Any]:
-    return {
+def _trials(
+    case: LadderCase,
+    quick: bool,
+    program_for: ProgramFor,
+    plan: Optional[FaultPlan] = None,
+) -> Tuple[RunResult, Machine, Dict[str, Any]]:
+    """Time :data:`TRIALS` runs; returns the last run and the base row."""
+    walls: List[float] = []
+    events = None
+    for trial in range(TRIALS):
+        result = machine = None  # free the last trial's machine first
+        result, machine, wall = _timed_run(case, program_for, plan)
+        walls.append(wall)
+        count = machine.sim.events_processed
+        if events is None:
+            events = count
+        elif count != events:
+            raise RuntimeError(
+                f"{case.name}: trial {trial} processed {count} events, "
+                f"trial 0 processed {events}"
+            )
+    median = statistics.median(walls)
+    row = {
         "case": case.name,
         "app": case.app,
         "network": case.network,
@@ -190,54 +230,62 @@ def _base_row(
         "topology": case.topology.describe(),
         "quick": quick,
         "events": events,
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
+        "wall_s": round(median, 4),
+        "wall_s_min": round(min(walls), 4),
+        "wall_s_max": round(max(walls), 4),
+        "events_per_sec": round(events / median) if median > 0 else 0,
     }
+    return result, machine, row
 
 
-def _run_pingpong(
-    case: LadderCase, quick: bool, profiler: Optional[KernelProfiler]
-) -> Dict[str, Any]:
+def _window_start(result: RunResult) -> float:
+    """When the last rank left the start-up barrier (simulated us)."""
+    return max(s for s, _ in result.rank_spans)
+
+
+def _run_barrier(case: LadderCase, quick: bool) -> Dict[str, Any]:
+    result, _, row = _trials(case, quick, lambda machine: idle)
+    row["window_start_us"] = _window_start(result)
+    return row
+
+
+def _run_pingpong(case: LadderCase, quick: bool) -> Dict[str, Any]:
     reps = case.param("reps", quick)
-    machine = _machine(case, profiler)
-    result, wall, events = _timed_run(
-        machine, far_pingpong(PINGPONG_SIZE, reps)
-    )
-    row = _base_row(case, quick, events, wall)
+    program = far_pingpong(PINGPONG_SIZE, reps)
+    result, _, row = _trials(case, quick, lambda machine: program)
     row.update(
         {
             "repetitions": reps,
             "latency_us": result.values[0],
             "elapsed_us": result.elapsed_us,
-            "window_start_us": max(s for s, _ in result.rank_spans),
+            "window_start_us": _window_start(result),
             "failovers": 0,
         }
     )
     return row
 
 
-def _run_beff(
-    case: LadderCase, quick: bool, profiler: Optional[KernelProfiler]
-) -> Dict[str, Any]:
+def _run_beff(case: LadderCase, quick: bool) -> Dict[str, Any]:
     sizes = beff_sizes(case.param("max_size", quick))
-    machine = _machine(case, profiler)
-    patterns = _ring_patterns(
-        case.nodes, machine.sim.rng.stream("beff.patterns")
-    )
-    result, wall, events = _timed_run(
-        machine, beff_program(patterns, sizes)
-    )
+
+    def program_for(machine: Machine):
+        patterns = _ring_patterns(
+            case.nodes, machine.sim.rng.stream("beff.patterns")
+        )
+        return beff_program(patterns, sizes)
+
+    result, _, row = _trials(case, quick, program_for)
     # Same reduction as run_beff: per-size aggregate bandwidth averaged
-    # over patterns, logarithmically averaged over sizes.
+    # over patterns (the cells run pattern-major), logarithmically
+    # averaged over sizes.
     cells = result.values[0]
     per_size = []
     for size_idx, size in enumerate(sizes):
-        bws = []
-        for pat_idx in range(len(patterns)):
-            elapsed = cells[pat_idx * len(sizes) + size_idx]
-            bws.append(case.nodes * 2 * size * LOOP_COUNT / elapsed)
+        bws = [
+            case.nodes * 2 * size * LOOP_COUNT / elapsed
+            for elapsed in cells[size_idx :: len(sizes)]
+        ]
         per_size.append(sum(bws) / len(bws))
-    row = _base_row(case, quick, events, wall)
     row.update(
         {
             "sizes": len(sizes),
@@ -249,13 +297,10 @@ def _run_beff(
     return row
 
 
-def _run_sweep3d(
-    case: LadderCase, quick: bool, profiler: Optional[KernelProfiler]
-) -> Dict[str, Any]:
+def _run_sweep3d(case: LadderCase, quick: bool) -> Dict[str, Any]:
     config = Sweep3dConfig(n=case.param("n", quick))
-    machine = _machine(case, profiler)
-    result, wall, events = _timed_run(machine, sweep3d_program(config))
-    row = _base_row(case, quick, events, wall)
+    program = sweep3d_program(config)
+    result, _, row = _trials(case, quick, lambda machine: program)
     row.update(
         {
             "n": config.n,
@@ -266,14 +311,12 @@ def _run_sweep3d(
     return row
 
 
-def _run_degraded(
-    case: LadderCase, quick: bool, profiler: Optional[KernelProfiler]
-) -> Dict[str, Any]:
+def _run_degraded(case: LadderCase, quick: bool) -> Dict[str, Any]:
     """Pristine vs degraded IB runs on the same fat tree, one ISL dead.
 
-    Only the degraded run is profiled — it exercises the full
-    hard-failure path (liveness checks, timeout, retransmit, APM
-    migration) and is the throughput this rung reports.
+    The pristine run places the kill and runs once; only the degraded
+    run — the full hard-failure path (liveness checks, timeout,
+    retransmit, APM migration) — is timed over the trials.
     """
     from ..campaign import default_kill_link
 
@@ -284,20 +327,17 @@ def _run_degraded(
     )
     program = far_pingpong(PINGPONG_SIZE, reps)
 
-    pristine_machine = _machine(case, profiler=None)
-    pristine, pristine_wall, _ = _timed_run(pristine_machine, program)
-
-    start = max(s for s, _ in pristine.rank_spans)
-    kill = round(start + 0.5 * pristine.elapsed_us, 3)
+    pristine, _, pristine_wall = _timed_run(case, lambda machine: program)
+    kill = round(_window_start(pristine) + 0.5 * pristine.elapsed_us, 3)
     plan = FaultPlan(link_down=dead, link_down_at_us=kill)
-    machine = _machine(case, profiler, plan=plan)
-    result, wall, events = _timed_run(machine, program)
+    result, machine, row = _trials(
+        case, quick, lambda machine: program, plan=plan
+    )
     failovers = int(machine.sim.faults.stats().get("failovers", 0))
     if failovers < 1:
         raise RuntimeError(
             f"{case.name}: kill at {kill} us missed the measured window"
         )
-    row = _base_row(case, quick, events, wall)
     row.update(
         {
             "repetitions": reps,
@@ -313,7 +353,8 @@ def _run_degraded(
     return row
 
 
-_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+_RUNNERS: Dict[str, Callable[[LadderCase, bool], Dict[str, Any]]] = {
+    "barrier": _run_barrier,
     "pingpong": _run_pingpong,
     "beff": _run_beff,
     "sweep3d": _run_sweep3d,
@@ -321,58 +362,14 @@ _RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-def run_case(
-    case: LadderCase,
-    quick: bool = False,
-    profile: bool = True,
-    sample: bool = False,
-    sample_interval_ms: float = 5.0,
-    flamegraph_dir: Optional[Path] = None,
-    chrome_dir: Optional[Path] = None,
-) -> Dict[str, Any]:
-    """Run one rung; returns its JSON-ready row.
-
-    ``profile=False`` skips the kernel profiler entirely (the row keeps
-    events/wall from plain timing).  ``sample=True`` adds the stack
-    sampler; ``flamegraph_dir``/``chrome_dir`` write
-    ``<case>.collapsed`` / ``<case>.kernel.trace.json`` exports.
-    """
-    sampler = (
-        StackSampler(interval_ms=sample_interval_ms) if sample else None
-    )
-    profiler = (
-        KernelProfiler(sampler=sampler) if (profile or sample) else None
-    )
-    runner = _RUNNERS[case.app]
-    row = runner(case, quick, profiler)
-    if profiler is not None:
-        row["perf"] = profiler.summary()
-        if sampler is not None:
-            row["samples"] = sampler.total_samples
-        if flamegraph_dir is not None and sampler is not None:
-            flamegraph_dir = Path(flamegraph_dir)
-            flamegraph_dir.mkdir(parents=True, exist_ok=True)
-            sampler.write_collapsed(flamegraph_dir / f"{case.name}.collapsed")
-        if chrome_dir is not None:
-            chrome_dir = Path(chrome_dir)
-            chrome_dir.mkdir(parents=True, exist_ok=True)
-            doc = kernel_chrome_trace(
-                profiler,
-                label=f"kernel:{case.name}",
-                samples=sampler.samples if sampler is not None else None,
-            )
-            path = chrome_dir / f"{case.name}.kernel.trace.json"
-            path.write_text(json.dumps(doc, indent=2) + "\n")
-    return row
+def run_case(case: LadderCase, quick: bool = False) -> Dict[str, Any]:
+    """Run one rung :data:`TRIALS` times; returns its JSON-ready row."""
+    return _RUNNERS[case.app](case, quick)
 
 
 def run_ladder(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
-    profile: bool = True,
-    sample: bool = False,
-    flamegraph_dir: Optional[Path] = None,
-    chrome_dir: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Dict[str, Any]]:
     """Run the ladder (or the named subset) and return all rows."""
@@ -380,18 +377,12 @@ def run_ladder(
     for case in ladder_cases(names):
         if progress is not None:
             progress(f"{case.name} ...")
-        row = run_case(
-            case,
-            quick=quick,
-            profile=profile,
-            sample=sample,
-            flamegraph_dir=flamegraph_dir,
-            chrome_dir=chrome_dir,
-        )
+        row = run_case(case, quick=quick)
         if progress is not None:
             progress(
-                f"{case.name}: {row['events']} events, "
-                f"{row['events_per_sec']} events/sec"
+                f"{case.name}: {row['events']} events, median "
+                f"{row['wall_s']:.3f} s [{row['wall_s_min']:.3f}, "
+                f"{row['wall_s_max']:.3f}] over {TRIALS} trials"
             )
         rows.append(row)
     return rows
@@ -403,8 +394,9 @@ def run_ladder(
 def write_results(rows: List[Dict[str, Any]], out: Path) -> Dict[str, Any]:
     """Write the rows to ``out`` as the ``BENCH_perf.json`` document."""
     doc = {
-        "schema": "repro.perf/1",
+        "schema": "repro.perf/2",
         "quick": bool(rows) and all(r.get("quick", False) for r in rows),
+        "trials": TRIALS,
         "cases": rows,
     }
     out = Path(out)

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
-    from .sampling import StackSampler
 
 #: The profiler's clock.  Bound once so the kernel never imports
 #: :mod:`time` on behalf of profiling.
@@ -88,21 +87,14 @@ class KernelProfiler:
 
     ``allocations=False`` skips the per-event allocated-blocks meter
     (one C call per event) for minimum-overhead throughput runs.
-    ``sampler`` optionally couples a :class:`~.sampling.StackSampler`
-    whose start/stop follows the run loop.
     """
 
     #: The wall clock, exposed so callers time *around* runs with the
     #: same clock the profiler uses internally.
     clock = staticmethod(_clock)
 
-    def __init__(
-        self,
-        allocations: bool = True,
-        sampler: Optional["StackSampler"] = None,
-    ) -> None:
+    def __init__(self, allocations: bool = True) -> None:
         self.allocations = allocations
-        self.sampler = sampler
         self.by_event_type: Dict[str, _TypeStats] = {}
         self.by_process_class: Dict[str, _TypeStats] = {}
         #: Kernel-mechanics counters.  ``heap_pushes`` counts every push
@@ -130,10 +122,8 @@ class KernelProfiler:
     # -- kernel observer (hot while profiling) -------------------------------
 
     def on_run_enter(self, sim: "Simulator") -> None:
-        """Start the loop clock (and the sampler)."""
+        """Start the loop clock."""
         self._loop_t0 = _clock()
-        if self.sampler is not None:
-            self.sampler.start()
 
     def on_pop(self, t: float, seq: int, event: Any) -> None:
         """Close the previous event's timing and open ``event``'s.
@@ -174,8 +164,6 @@ class KernelProfiler:
         now_s = _clock()
         self._close(now_s)
         self.loop_wall_s += now_s - self._loop_t0
-        if self.sampler is not None:
-            self.sampler.stop()
         seen = self._seq_seen if sim is self._sim else 0
         self.heap_pushes += sim._seq - seen
         self._sim, self._seq_seen = sim, sim._seq
@@ -256,98 +244,3 @@ class KernelProfiler:
                 for name, stats in ranked[:top]
             ],
         }
-
-
-def kernel_chrome_trace(
-    profiler: KernelProfiler,
-    label: str = "kernel",
-    samples: Optional[Dict[str, int]] = None,
-) -> Dict[str, Any]:
-    """The attribution as a Chrome ``trace_event`` document.
-
-    A synthetic timeline in *kernel wall microseconds* (not simulated
-    time): one complete span per event type on the ``kernel.events``
-    track, laid end to end in descending-cost order, and one per
-    process class on ``kernel.processes`` — so the relative widths in
-    ``chrome://tracing``/Perfetto read as a flame chart of where the
-    simulator's own time went.  Collapsed-stack ``samples`` (from a
-    :class:`~.sampling.StackSampler`) export as instants on a third
-    track.  The shape passes :func:`repro.telemetry.chrome.
-    validate_trace`, so the existing tooling loads it unchanged.
-    """
-    events: List[Dict[str, Any]] = []
-    tracks = {"kernel.events": 0, "kernel.processes": 1}
-
-    def _spans(stats_map: Dict[str, _TypeStats], tid: int, cat: str) -> None:
-        cursor = 0.0
-        ranked = sorted(
-            stats_map.items(), key=lambda item: (-item[1].wall_s, item[0])
-        )
-        for name, stats in ranked:
-            dur = stats.wall_s * 1e6
-            events.append(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": cursor,
-                    "dur": dur,
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {
-                        "count": stats.count,
-                        "wall_s": stats.wall_s,
-                        "allocs": stats.allocs,
-                    },
-                }
-            )
-            cursor += dur
-
-    _spans(profiler.by_event_type, 0, "kernel.event_type")
-    _spans(profiler.by_process_class, 1, "kernel.process_class")
-    if samples:
-        tracks["kernel.samples"] = 2
-        for stack in sorted(samples):
-            leaf = stack.rsplit(";", 1)[-1]
-            events.append(
-                {
-                    "name": leaf,
-                    "cat": "kernel.sample",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": 0,
-                    "pid": 0,
-                    "tid": 2,
-                    "args": {"stack": stack, "count": samples[stack]},
-                }
-            )
-    metadata: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": label},
-        }
-    ]
-    for track, tid in tracks.items():
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "ts": 0,
-                "pid": 0,
-                "tid": tid,
-                "args": {"name": track},
-            }
-        )
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "label": label,
-            "kind": "kernel-profile",
-            "report": profiler.report(),
-        },
-    }

@@ -1,28 +1,29 @@
-"""Periodic Python-stack sampling for flamegraphs.
+"""Periodic Python-stack sampling.
 
 :class:`StackSampler` runs a daemon thread that snapshots the target
 thread's call stack every ``interval_ms`` via
-``sys._current_frames()`` and folds the samples into collapsed-stack
-counts — the ``frame;frame;frame count`` format ``flamegraph.pl`` and
-speedscope consume directly.  Sampling is wall-clock-driven and
-therefore non-deterministic by nature; it never touches simulation
-state, so it cannot perturb results (only slow them by the sampling
-overhead, a few percent at the default 5 ms interval).
+``sys._current_frames()`` and folds each sample into a collapsed stack
+(``frame;frame;frame``), counted in :attr:`StackSampler.samples`.  The
+repo benchmark's traced pass (``perfbench --trace 1``) subclasses it to
+sample every thread and turns the counts into per-layer wall shares.
+Sampling is wall-clock-driven and therefore non-deterministic by
+nature; it never touches simulation state, so it cannot perturb
+results (only slow them by the sampling overhead, a few percent at the
+default 5 ms interval).
 
 Frames are labelled ``module:function``; frames outside the ``repro``
 package collapse into their top-level module name so application noise
-(importlib, threading) doesn't shred the graph.
+(importlib, threading) doesn't shred the counts.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from pathlib import Path
 from typing import Dict, List, Optional
 
 #: Stack depth captured per sample; deeper frames are dropped from the
-#: root end (leaves are what a flamegraph of a hot loop needs).
+#: root end (the leaves say where a hot loop spends its time).
 MAX_DEPTH = 64
 
 
@@ -75,7 +76,7 @@ class StackSampler:
 
     def start(self) -> "StackSampler":
         if self._thread is not None:
-            return self  # idempotent: on_run_enter after an explicit start
+            return self  # already sampling
         target = (
             self.thread_id
             if self.thread_id is not None
@@ -110,18 +111,3 @@ class StackSampler:
                 self.dropped += 1
                 continue
             self.samples[stack] = self.samples.get(stack, 0) + 1
-
-    # -- export -------------------------------------------------------------
-
-    def collapsed(self) -> List[str]:
-        """Folded-stack lines, sorted, in flamegraph.pl input format."""
-        return [
-            f"{stack} {self.samples[stack]}"
-            for stack in sorted(self.samples)
-        ]
-
-    def write_collapsed(self, path) -> Path:
-        """Write :meth:`collapsed` to ``path`` (one sample line each)."""
-        path = Path(path)
-        path.write_text("\n".join(self.collapsed()) + "\n")
-        return path

@@ -22,6 +22,11 @@ refuses, each reply with ``Connection: close``::
     501  any Transfer-Encoding; a method other than GET and POST
     505  an HTTP major version other than 1
 
+Any other answer sent before its request's declared body was read (a
+413, a POST to an unknown path, a GET with a body) also carries
+``Connection: close`` and closes the connection, so the unread body is
+never parsed as the next request.
+
 A response's status line and headers (``Server``, ``Date``,
 ``Content-Type``, ``Location`` if any, ``Content-Length``) come from one
 format and leave with the body in one write; ``Date`` is formatted at
@@ -395,6 +400,11 @@ class ServeHandler(BaseHTTPRequestHandler):
     #: delayed ACK under Nagle.
     disable_nagle_algorithm = True
 
+    #: Whether the request declared a body that no route has read yet.
+    #: An answer sent while it has closes the connection, so the body is
+    #: never parsed as the next request.
+    body_unread = False
+
     # -- plumbing ------------------------------------------------------------
 
     @property
@@ -455,6 +465,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.close_connection = connection == "close" or (
             not http11 and connection != "keep-alive"
         )
+        self.body_unread = int(headers.get("content-length") or 0) > 0
         if http11 and headers.get("expect", "").lower() == "100-continue":
             return self.handle_expect_100()
         return True
@@ -476,10 +487,15 @@ class ServeHandler(BaseHTTPRequestHandler):
         data = body.encode("utf-8")
         self.log_request(code)
         location_line = f"Location: {location}\r\n" if location else ""
+        close_line = ""
+        if self.body_unread:
+            self.close_connection = True
+            close_line = "Connection: close\r\n"
         head = (
             f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
             f"Server: {self.version_string()}\r\n"
             f"Date: {self.server.http_date()}\r\n"
+            f"{close_line}"
             f"Content-Type: {content_type}\r\n"
             f"{location_line}"
             f"Content-Length: {len(data)}\r\n\r\n"
@@ -506,6 +522,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
+        self.body_unread = False
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -633,13 +650,13 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _post_campaign(self) -> int:
         spec_dict, force, lifecycle, wait_s = self._envelope(self._read_json())
         campaign = CampaignSpec.from_dict(spec_dict)
-        specs = campaign.expand()
-        if len(specs) > MAX_CAMPAIGN_RUNS:
+        runs = campaign.run_count()
+        if runs > MAX_CAMPAIGN_RUNS:
             raise _HttpError(
                 413,
-                f"campaign expands to {len(specs)} runs "
-                f"(limit {MAX_CAMPAIGN_RUNS})",
+                f"campaign expands to {runs} runs (limit {MAX_CAMPAIGN_RUNS})",
             )
+        specs = campaign.expand()
         handle = self.state.new_campaign(campaign.name)
         seen = set()
         for spec in specs:

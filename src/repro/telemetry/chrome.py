@@ -8,8 +8,8 @@ flat metrics dict so one file holds both the timeline and the numbers.
 
 Event sources:
 
-* :class:`~.stream.Timeline` spans/instants — resource occupancy
-  intervals recorded by :class:`~repro.sim.FifoResource`;
+* :class:`~.stream.Timeline` spans — resource occupancy intervals
+  recorded by :class:`~repro.sim.FifoResource`;
 * :class:`~.lifecycle.LifecycleRecorder` message spans — one complete
   event per recorded phase, on one track per owning rank;
 * :class:`~.series.SeriesBank` channels — counter (``ph: "C"``) events,
@@ -68,18 +68,6 @@ def chrome_trace(sim: "Simulator", label: str = "") -> Dict[str, Any]:
                     "ph": "X",
                     "ts": start,
                     "dur": dur,
-                    "pid": PID,
-                    "tid": tid,
-                }
-            )
-        for tid, name, cat, ts in timeline.instants:
-            events.append(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": ts,
                     "pid": PID,
                     "tid": tid,
                 }

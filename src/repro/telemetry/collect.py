@@ -46,24 +46,19 @@ class Telemetry:
         self,
         metrics: bool = True,
         timeline: bool = False,
-        timeline_limit: int = 1_000_000,
         lifecycle: bool = False,
-        lifecycle_limit: int = 200_000,
         series: bool = False,
-        series_limit: int = 500_000,
         trace: bool = False,
     ) -> None:
         self.metrics: Union[MetricsRegistry, NullRegistry] = (
             MetricsRegistry() if metrics else NULL_REGISTRY
         )
-        self.timeline: Optional[Timeline] = (
-            Timeline(timeline_limit) if timeline else None
-        )
+        self.timeline: Optional[Timeline] = Timeline() if timeline else None
         self.lifecycle: Union[LifecycleRecorder, _NullLifecycle] = (
-            LifecycleRecorder(lifecycle_limit) if lifecycle else NULL_LIFECYCLE
+            LifecycleRecorder() if lifecycle else NULL_LIFECYCLE
         )
         self.series: Union[SeriesBank, _NullSeries] = (
-            SeriesBank(series_limit) if series else NULL_SERIES
+            SeriesBank() if series else NULL_SERIES
         )
         self.trace: Union[EventStream, _NullTrace] = (
             EventStream() if trace else NULL_TRACE

@@ -9,8 +9,8 @@ not folded into one global number.  Model code calls
 message is built only when a record is stored, and with tracing off the
 call lands on the shared :data:`NULL_TRACE`, which does nothing.
 
-:class:`Timeline` records *spans* (named intervals on named tracks) and
-*instants*, the raw material of the Chrome ``trace_event`` exporter.
+:class:`Timeline` records *spans* (named intervals on named tracks), the raw
+material of the Chrome ``trace_event`` exporter.
 Track ids are assigned in first-use order, which is simulation order and
 therefore deterministic.
 """
@@ -24,9 +24,6 @@ StreamRecord = Tuple[float, str, str]
 
 #: One timeline span: (track id, name, category, start us, duration us).
 Span = Tuple[int, str, str, float, float]
-
-#: One timeline instant: (track id, name, category, time us).
-Instant = Tuple[int, str, str, float]
 
 
 class EventStream:
@@ -129,7 +126,7 @@ NULL_TRACE = _NullTrace()
 
 
 class Timeline:
-    """Span/instant recorder feeding the Chrome ``trace_event`` export.
+    """Span recorder feeding the Chrome ``trace_event`` export.
 
     A *track* is one horizontal lane in the viewer — a resource (a link,
     the PCI-X bus, a NIC engine, a CPU) or a protocol category.  Spans on
@@ -137,12 +134,11 @@ class Timeline:
     allows it.
     """
 
-    __slots__ = ("limit", "spans", "instants", "_tracks", "dropped_by_category")
+    __slots__ = ("limit", "spans", "_tracks", "dropped_by_category")
 
     def __init__(self, limit: int = 1_000_000) -> None:
         self.limit = limit
         self.spans: List[Span] = []
-        self.instants: List[Instant] = []
         #: track name -> tid, in first-use (simulation) order.
         self._tracks: Dict[str, int] = {}
         self.dropped_by_category: Dict[str, int] = {}
@@ -166,25 +162,16 @@ class Timeline:
         self, track: str, name: str, category: str, start: float, duration: float
     ) -> None:
         """Record a completed interval on ``track``."""
-        if len(self.spans) + len(self.instants) >= self.limit:
+        if len(self.spans) >= self.limit:
             self.dropped_by_category[category] = (
                 self.dropped_by_category.get(category, 0) + 1
             )
             return
         self.spans.append((self.tid(track), name, category, start, duration))
 
-    def instant(self, track: str, name: str, category: str, now: float) -> None:
-        """Record a point event on ``track``."""
-        if len(self.spans) + len(self.instants) >= self.limit:
-            self.dropped_by_category[category] = (
-                self.dropped_by_category.get(category, 0) + 1
-            )
-            return
-        self.instants.append((self.tid(track), name, category, now))
-
     def track_names(self) -> List[str]:
         """All track names, in tid order."""
         return list(self._tracks)
 
     def __len__(self) -> int:
-        return len(self.spans) + len(self.instants)
+        return len(self.spans)

@@ -44,6 +44,30 @@ def test_explicit_points_merge_over_base():
     assert run.args == {"size": 64}
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CampaignSpec(name="base-alone", base={"app": "pingpong", "nodes": 2,
+                                              "network": "ib"}),
+        small_campaign(),
+        small_campaign(repetitions=3, grid={"network": ["ib", "elan"],
+                                            "app_args.size": [0, 8, 64],
+                                            "nodes": [2, 4]}),
+        CampaignSpec(
+            name="points-only",
+            base={"app": "pingpong", "nodes": 2},
+            points=[{"network": "ib"}, {"network": "elan"},
+                    {"network": "ib", "nodes": 4}],
+            repetitions=2,
+        ),
+        small_campaign(points=[{"network": "ib", "app_args": {"size": 8}}]),
+    ],
+    ids=["base-alone", "grid", "three-axes", "points-only", "grid-and-points"],
+)
+def test_run_count_matches_expand(spec):
+    assert spec.run_count() == len(spec.expand())
+
+
 def test_key_stable_under_arg_order():
     a = RunSpec(app="pingpong", network="ib", nodes=2,
                 app_args=tuple(sorted({"size": 8, "repetitions": 3}.items())))

@@ -1,4 +1,4 @@
-"""KernelProfiler contract: observer purity, attribution, exports.
+"""KernelProfiler contract: observer purity, attribution, reports.
 
 The acceptance pins: a simulator built without a profiler produces
 byte-identical results and executes nothing from ``repro.perf`` (the
@@ -18,9 +18,8 @@ import pytest
 
 from repro.microbench import pingpong_program
 from repro.mpi.machine import Machine
-from repro.perf import KernelProfiler, kernel_chrome_trace
+from repro.perf import KernelProfiler
 from repro.perf.profiler import _class_of
-from repro.telemetry.chrome import validate_trace
 
 pytestmark = pytest.mark.perf
 
@@ -171,29 +170,3 @@ def test_allocations_off_skips_the_meter():
     assert all(
         s["allocs"] == 0 for s in report["by_event_type"].values()
     )
-
-
-# -- chrome export ------------------------------------------------------------
-
-
-def test_kernel_chrome_trace_validates():
-    prof = KernelProfiler()
-    _run(profiler=prof)
-    doc = kernel_chrome_trace(
-        prof, label="kernel:test", samples={"a;b": 3, "a;c": 1}
-    )
-    validate_trace(doc)
-    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert len(spans) == len(prof.by_event_type) + len(prof.by_process_class)
-    instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
-    assert {e["args"]["stack"] for e in instants} == {"a;b", "a;c"}
-    assert doc["otherData"]["kind"] == "kernel-profile"
-    # Spans within a track tile without overlap, costliest first.
-    for tid in (0, 1):
-        track = [e for e in spans if e["tid"] == tid]
-        cursor = 0.0
-        for span in track:
-            assert span["ts"] == pytest.approx(cursor)
-            cursor += span["dur"]
-        durs = [e["dur"] for e in track]
-        assert durs == sorted(durs, reverse=True)

@@ -109,7 +109,7 @@ ROWS = [
     ("http-0.9", b"GET /v1/status\r\n", 400, True),
     # Answers kept from before the parser.
     ("no-content-length", post([], b""), 411, False),
-    ("body-too-large", post([b"Content-Length: 9000000"], b""), 413, False),
+    ("body-too-large", post([b"Content-Length: 9000000"], b""), 413, True),
     ("request-line-too-long",
      b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, True),
     ("header-line-too-long",
@@ -133,6 +133,55 @@ def check_row(service, request, code, close):
 )
 def test_error_table(service, request_bytes, code, close):
     check_row(service, request_bytes, code, close)
+
+
+# -- answers that leave a body unread ----------------------------------------
+
+#: A request hidden in a body: answered on its own if the server parses
+#: an unread body as the next request.
+SMUGGLED = b"GET /v1/status HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def until_eof(service, request):
+    """Every byte the server sends for ``request`` up to its EOF; fails
+    if the server keeps the connection open."""
+    data = b""
+    with socket.create_connection(
+        (service.host, service.port), timeout=5
+    ) as sock:
+        sock.sendall(request)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                pytest.fail(f"connection still open after {data[:300]!r}")
+            if not chunk:
+                return data
+            data += chunk
+
+
+@pytest.mark.parametrize(
+    "method, path, code",
+    [(b"POST", b"/v1/runs", 413), (b"POST", b"/v1/nope", 404),
+     (b"GET", b"/v1/status", 200)],
+    ids=["413", "post-to-unknown-path", "get-with-body"],
+)
+def test_an_unread_body_closes_the_connection(
+    service, monkeypatch, method, path, code
+):
+    # The cap drops below the body, so the POST to /v1/runs is a 413.
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 10)
+    request = (
+        b"%s %s HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n"
+        % (method, path, len(SMUGGLED))
+    ) + SMUGGLED
+    data = until_eof(service, request)
+    # One answer, not a second one to the body, then EOF.
+    assert re.findall(rb"^HTTP/1\.\d \d{3}", data, re.M) == [
+        b"HTTP/1.1 %d" % code
+    ], data[:300]
+    head = data.split(b"\r\n\r\n", 1)[0]
+    assert b"\r\nConnection: close\r\n" in head + b"\r\n"
 
 
 # -- answers without the stdlib parser ----------------------------------------

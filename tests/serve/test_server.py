@@ -201,10 +201,12 @@ def test_every_request_yields_the_cpu(service, monkeypatch):
     import repro.serve.server as server
 
     # By thread: handlers of earlier tests' connections may still yield
-    # once after their last answer and once at the client's EOF.
+    # once after their last answer and once at the client's EOF.  Keyed
+    # by the Thread object, not its ident: the C library hands an exited
+    # thread's ident to the next thread it starts.
     yields = []
     monkeypatch.setattr(
-        server, "_yield_cpu", lambda: yields.append(threading.get_ident())
+        server, "_yield_cpu", lambda: yields.append(threading.current_thread())
     )
     conn = HTTPConnection(service.host, service.port, timeout=60)
     try:
@@ -428,6 +430,20 @@ def test_campaign_expansion_and_values(service):
     )
     assert status == 200
     assert again["campaign"]["values"] == campaign["values"]
+
+
+def test_oversized_campaign_is_refused_before_expanding(service, monkeypatch):
+    from repro.campaign import CampaignSpec
+
+    def refuse(self):
+        raise AssertionError("expand() called on an oversized campaign")
+
+    monkeypatch.setattr(CampaignSpec, "expand", refuse)
+    huge = dict(CAMPAIGN, grid={"nodes": list(range(2, 1002)),
+                                "app_args.size": list(range(1000))})
+    code, err = http_error("POST", service.url + "/v1/campaigns", huge)
+    assert code == 413
+    assert err["error"] == "campaign expands to 1000000 runs (limit 4096)"
 
 
 # -- explain ------------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_timeline_cap_counts_drops_per_category():
     timeline = Timeline(limit=1)
     timeline.span("t", "a", "cat.a", 0.0, 1.0)
     timeline.span("t", "b", "cat.b", 1.0, 1.0)
-    timeline.instant("t", "c", "cat.b", 2.0)
+    timeline.span("t", "c", "cat.b", 2.0, 1.0)
     assert len(timeline) == 1
     assert timeline.dropped == 2
     assert timeline.dropped_by_category == {"cat.b": 2}
