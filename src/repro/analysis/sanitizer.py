@@ -125,8 +125,9 @@ class RaceSanitizer:
     def on_run_exit(self, sim: Any) -> None:
         """Judge the last timestamp group, so results are final.
 
-        A run that stops mid-timestamp (``until_process``) and resumes
-        has that timestamp judged as two groups.
+        A run that a watchdog stops mid-timestamp, or a later run that
+        fires more events at the clock a drained run left, has that
+        timestamp judged as two groups.
         """
         self._flush()
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .engine import CampaignEngine, CampaignResult
+from .engine import CampaignEngine
 from .spec import CampaignSpec, study_runspecs
 
 
@@ -80,8 +80,3 @@ def study_spec(study, name: str) -> CampaignSpec:
         repetitions=study.repetitions,
         seed_base=study.seed_base,
     )
-
-
-def campaign_summary(result: CampaignResult) -> str:
-    """One-line engine outcome for progress surfaces."""
-    return result.summary()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..hardware import POWEREDGE_1750, NodeSpec
 from ..networks.params import ELAN_4, IB_4X
@@ -58,8 +58,3 @@ def render_table1(rows: List[PlatformRow] = None) -> str:
     for r in rows:
         lines.append(f"{r.system:<{width}} | {r.description}")
     return "\n".join(lines)
-
-
-def partition_summary() -> List[Tuple[str, int]]:
-    """(network label, max modelled nodes) pairs."""
-    return [("4X InfiniBand", 32), ("Quadrics Elan-4", 32)]

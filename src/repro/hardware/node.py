@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Cpu:
-    """One host processor: a unit-capacity FIFO resource plus helpers."""
+    """One host processor: a one-slot FIFO resource plus helpers."""
 
     def __init__(self, sim: "Simulator", node_id: int, index: int) -> None:
         self.sim = sim

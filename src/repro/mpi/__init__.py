@@ -3,7 +3,7 @@
 from .api import MpiRank
 from .communicator import Communicator
 from .context import MpiImpl, RankContext
-from .machine import Machine, NETWORK_LABELS, NETWORKS, RunResult, build_machine
+from .machine import Machine, NETWORK_LABELS, NETWORKS, RunResult
 from .matching import ANY_SOURCE, ANY_TAG, Envelope, MatchQueue
 from .request import Request, Status
 
@@ -14,7 +14,6 @@ __all__ = [
     "RankContext",
     "Machine",
     "RunResult",
-    "build_machine",
     "NETWORKS",
     "NETWORK_LABELS",
     "ANY_SOURCE",

@@ -15,7 +15,7 @@ from ..errors import ConfigurationError
 from ..topology import TopologySpec
 from ..topology.base import Topology
 from ..faults import FaultInjector, FaultPlan, validate_fault_targets
-from ..hardware import Node, NodeSpec, POWEREDGE_1750
+from ..hardware import Node, POWEREDGE_1750
 from ..networks.elan import ElanNic
 from ..networks.ib import Hca
 from ..networks.params import ELAN_4, IB_4X, ElanParams, IBParams
@@ -47,8 +47,6 @@ class RunResult:
     values: List[Any]
     #: Per-rank start/end times (after the synchronizing barrier).
     rank_spans: List[tuple]
-    #: Per-rank implementation statistics.
-    impl_stats: List[dict] = field(default_factory=list)
     #: Flat telemetry snapshot (empty unless the machine was built with
     #: an enabled :class:`~repro.telemetry.Telemetry`).
     metrics: dict = field(default_factory=dict)
@@ -60,7 +58,10 @@ class RunResult:
 
 
 class Machine:
-    """One simulated cluster: ``n_nodes`` nodes, ``ppn`` ranks per node."""
+    """One simulated cluster: ``n_nodes`` nodes, ``ppn`` ranks per node.
+
+    Every node is the paper's Dell PowerEdge 1750 (``POWEREDGE_1750``).
+    """
 
     def __init__(
         self,
@@ -70,7 +71,6 @@ class Machine:
         seed: int = 0,
         ib_params: IBParams = IB_4X,
         elan_params: ElanParams = ELAN_4,
-        node_spec: NodeSpec = POWEREDGE_1750,
         topology: Optional[Any] = None,
         ib_progress_thread: bool = False,
         faults: Optional[FaultPlan] = None,
@@ -84,9 +84,9 @@ class Machine:
             )
         if n_nodes < 1:
             raise ConfigurationError("need at least one node")
-        if not 1 <= ppn <= node_spec.cpus:
+        if not 1 <= ppn <= POWEREDGE_1750.cpus:
             raise ConfigurationError(
-                f"ppn={ppn} impossible on {node_spec.cpus}-CPU nodes"
+                f"ppn={ppn} impossible on {POWEREDGE_1750.cpus}-CPU nodes"
             )
         self.network = network
         self.n_nodes = n_nodes
@@ -107,7 +107,6 @@ class Machine:
         self.sim = Simulator(
             seed=seed, telemetry=telemetry, observers=observers
         )
-        self.node_spec = node_spec
         self.ib_params = ib_params
         self.elan_params = elan_params
         self.fault_plan = faults
@@ -137,7 +136,7 @@ class Machine:
             if injector.hard is not None:
                 injector.hard.arm(self.sim, self.fabric)
         self.nodes: List[Node] = [
-            Node(self.sim, i, node_spec) for i in range(n_nodes)
+            Node(self.sim, i, POWEREDGE_1750) for i in range(n_nodes)
         ]
         if network == "ib":
             self.impl: Any = MvapichImpl(
@@ -181,8 +180,6 @@ class Machine:
     def run(
         self,
         program: ProgramFactory,
-        skip_init: bool = False,
-        collect_stats: bool = False,
         max_events: Optional[int] = None,
         wall_limit_s: Optional[float] = None,
         check_invariants: bool = False,
@@ -213,8 +210,7 @@ class Machine:
 
         def runner(rank: int) -> Generator[Any, Any, None]:
             api = self.apis[rank]
-            if not skip_init:
-                yield from self.impl.init(api.ctx)
+            yield from self.impl.init(api.ctx)
             yield from api.barrier()
             start = self.sim.now
             values[rank] = yield from program(api)
@@ -228,16 +224,10 @@ class Machine:
 
         start = max(s for s, _ in spans)
         end = max(e for _, e in spans)
-        stats = (
-            [self.impl.finalize_stats(ctx) for ctx in self.contexts]
-            if collect_stats
-            else []
-        )
         return RunResult(
             elapsed_us=end - start,
             values=values,
             rank_spans=spans,
-            impl_stats=stats,
             metrics=self.metrics() if self.sim.telemetry.enabled else {},
         )
 
@@ -298,8 +288,3 @@ class Machine:
     def memory_footprint_per_process(self) -> int:
         """Network buffer bytes one process dedicates in this job size."""
         return self.nics[0].memory_footprint(self.n_ranks)
-
-
-def build_machine(network: str, n_nodes: int, ppn: int = 1, **kwargs) -> Machine:
-    """Convenience constructor mirroring :class:`Machine`."""
-    return Machine(network, n_nodes, ppn=ppn, **kwargs)

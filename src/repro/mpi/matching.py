@@ -115,10 +115,6 @@ class MatchQueue(Generic[T]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def peek_all(self) -> List[MatchEntry[T]]:
-        """Snapshot of entries (tests/diagnostics only)."""
-        return list(self._entries)
-
     def items(self) -> List[T]:
         """The queued payloads in queue order (invariant checks)."""
         return [entry.item for entry in self._entries]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ..errors import NetworkError
 from ..hardware import Node
@@ -305,10 +305,3 @@ def stage_breakdown(stages: List[Stage], size: int) -> dict:
     if scale <= 0.0:
         return {}
     return {comp: t / scale for comp, t in sorted(totals.items())}
-
-
-def attach_pair_stats(nics: List[Optional[Nic]]) -> dict:
-    """Aggregate send statistics across NICs (reporting helper)."""
-    total_msgs = sum(n.messages_sent for n in nics if n is not None)
-    total_bytes = sum(n.bytes_sent for n in nics if n is not None)
-    return {"messages": total_msgs, "bytes": total_bytes}

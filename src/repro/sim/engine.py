@@ -8,10 +8,9 @@ microseconds (see :mod:`repro.units`).  Determinism guarantees:
 * all randomness flows through named :class:`~repro.sim.rng.RngStreams`, so
   two runs with the same seed are bit-identical.
 
-A run ends when the heap drains, when ``until`` is reached, or when a
-watched process finishes (``run(until_process=p)``).  Crashed processes
-abort the run unless someone explicitly joins them — silent process death is
-how protocol bugs hide.
+A run ends when the heap drains.  Crashed processes abort the run unless
+someone explicitly joins them — silent process death is how protocol bugs
+hide.
 
 The kernel is hardened for unattended campaign use: ``run()`` takes an
 event budget and a wall-clock limit, and breaching either raises
@@ -202,15 +201,12 @@ class Simulator:
 
     def run(
         self,
-        until: Optional[float] = None,
-        until_process: Optional[Process] = None,
         max_events: Optional[int] = None,
         wall_limit_s: Optional[float] = None,
     ) -> float:
-        """Run until the heap drains, ``until`` is reached, or a process ends.
+        """Run until the heap drains; returns the clock at that point.
 
-        Returns the simulation time at which the run stopped.  Raises the
-        original exception of any crashed, un-joined process.
+        Raises the original exception of any crashed, un-joined process.
 
         ``max_events`` bounds the number of events this *call* may
         process and ``wall_limit_s`` bounds its real elapsed time; either
@@ -219,21 +215,16 @@ class Simulator:
         watchdogs exist for unattended campaign runs, where a livelocked
         model must kill one run, not the whole sweep.
 
-        With none of these arguments and no observer attached, the run
-        takes :meth:`_run_bare`, which fires the same event stream with
-        fewer checks per event.  Otherwise each observer's ``on_pop``
+        With neither limit and no observer attached, the run takes
+        :meth:`_run_bare`, which fires the same event stream with fewer
+        checks per event.  Otherwise the instrumented loop checks the
+        two watchdogs before each event, and each observer's ``on_pop``
         runs once per event, bracketed by ``on_run_enter`` and
         ``on_run_exit``.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if (
-            until is None
-            and until_process is None
-            and max_events is None
-            and wall_limit_s is None
-            and not self.observers
-        ):
+        if max_events is None and wall_limit_s is None and not self.observers:
             return self._run_bare()
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be >= 1: {max_events}")
@@ -253,8 +244,6 @@ class Simulator:
             while self._heap:
                 if self._crashed:
                     self._raise_crash()
-                if until_process is not None and until_process.triggered:
-                    break
                 if budget is not None:
                     if budget <= 0:
                         raise WatchdogError(
@@ -274,21 +263,13 @@ class Simulator:
                         sim_time=self._now,
                     )
                 t, _seq, event = heapq.heappop(self._heap)
-                if until is not None and t > until:
-                    # Put it back: the caller may resume later.
-                    heapq.heappush(self._heap, (t, _seq, event))  # repro-lint: disable=RPR022 -- put-back of the already-popped heap entry, once per run() return
-                    self._now = until
-                    break
                 self._now = t
                 self.events_processed += 1
                 for observer in observers:
                     observer.on_pop(t, _seq, event)
                 event._fire()
-            else:
-                if self._crashed:
-                    self._raise_crash()
-                if until is not None and self._now < until:
-                    self._now = until
+            if self._crashed:
+                self._raise_crash()
         finally:
             self._running = False
             for observer in observers:
@@ -296,7 +277,7 @@ class Simulator:
         return self._now
 
     def _run_bare(self) -> float:
-        """:meth:`run` with no stop condition, watchdog or observer.
+        """:meth:`run` with no watchdog or observer.
 
         Fires the same stream as the instrumented loop, with
         ``Event._fire`` inlined; its crash check after each event is

@@ -71,35 +71,31 @@ class StoreGet(Event):
 
 
 class FifoResource:
-    """A resource with ``capacity`` slots granted in request order."""
+    """A one-slot resource granted in request order.
 
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+    A release hands the slot straight to the oldest waiter, so the slot
+    is held exactly while a busy period is open (``_busy_since`` is set).
+    """
+
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
-        self._in_use = 0
         # (event, request_time) pairs; Event uses __slots__, so the request
         # time rides alongside rather than on the event.
         self._waiters: Deque[tuple] = deque()
         # -- statistics --------------------------------------------------
         self.total_grants = 0
         self.total_wait_time = 0.0
+        #: Start of the open busy period; ``None`` while the slot is free.
         self._busy_since: Optional[float] = None
         self.busy_time = 0.0
         #: Most requests ever queued at once (queue-depth high-water mark).
         self.queue_hwm = 0
-        #: Most slots ever granted at once.
-        self.in_use_hwm = 0
-        #: Slot-time integral (sum over time of slots in use, in slot-us);
-        #: ``occupancy()`` normalizes it to [0, 1].
-        self.slot_busy_time = 0.0
-        self._occ_at = sim.now
         #: Per-grant span recording onto the telemetry timeline, if one
         #: is attached; ``None`` keeps the hot path branch-cheap.
         self._timeline = sim.telemetry.timeline if name else None
-        self._grant_times: dict = {}
+        #: When the current holder was granted (its timeline span start).
+        self._granted_at = 0.0
         #: Change-driven occupancy channel for the series sampler (the
         #: shared null channel when sampling is off or the resource is
         #: anonymous) — fetched once here so grants pay one method call.
@@ -113,7 +109,7 @@ class FifoResource:
     # -- acquisition -------------------------------------------------------
 
     def request(self, key: Any = None) -> Event:
-        """An event granted when a slot is free (FIFO order).
+        """An event granted when the slot is free (FIFO order).
 
         The event's value is the request time, so callers can compute their
         own queueing delay; :attr:`total_wait_time` accumulates it globally.
@@ -125,7 +121,8 @@ class FifoResource:
         """
         now = self.sim._now
         ev = ResourceRequest(self.sim, self, key)
-        if self._in_use < self.capacity and not self._waiters:
+        if self._busy_since is None:
+            self._busy_since = now
             self._grant(ev, now)
         else:
             self._waiters.append((ev, now))  # repro-lint: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
@@ -135,20 +132,10 @@ class FifoResource:
 
     def _grant(self, ev: Event, requested_at: float) -> None:
         now = self.sim._now
-        # Occupancy integral up to now, then one more slot in use.
-        in_use = self._in_use
-        self.slot_busy_time += in_use * (now - self._occ_at)
-        self._occ_at = now
-        self._in_use = in_use = in_use + 1
-        if in_use > self.in_use_hwm:
-            self.in_use_hwm = in_use
         self.total_grants += 1
         self.total_wait_time += now - requested_at
-        if self._busy_since is None:
-            self._busy_since = now
-        if self._timeline is not None:
-            self._grant_times[ev] = now
-        self._series.record(now, in_use)
+        self._granted_at = now
+        self._series.record(now, 1)
         ev.succeed(requested_at)
 
     def release(self, req: Event) -> None:
@@ -160,30 +147,21 @@ class FifoResource:
                     self._waiters.remove(pair)
                     return
             raise SimulationError("release() of unknown pending request")
-        in_use = self._in_use
-        if in_use <= 0:
+        busy_since = self._busy_since
+        if busy_since is None:
             raise SimulationError(f"release() of idle resource {self.name!r}")
         now = self.sim._now
-        # Occupancy integral up to now, then one slot fewer in use.
-        self.slot_busy_time += in_use * (now - self._occ_at)
-        self._occ_at = now
-        self._in_use = in_use = in_use - 1
-        self._series.record(now, in_use)
+        self._series.record(now, 0)
         if self._timeline is not None:
-            started = self._grant_times.pop(req, None)
-            if started is not None:
-                self._timeline.span(
-                    self.name,
-                    self.name,
-                    "resource",
-                    started,
-                    now - started,
-                )
+            started = self._granted_at
+            self._timeline.span(
+                self.name, self.name, "resource", started, now - started
+            )
         if self._waiters:
             nxt, requested_at = self._waiters.popleft()
             self._grant(nxt, requested_at)
-        elif in_use == 0 and self._busy_since is not None:
-            self.busy_time += now - self._busy_since
+        else:
+            self.busy_time += now - busy_since
             self._busy_since = None
 
     def using(
@@ -201,29 +179,21 @@ class FifoResource:
 
     @property
     def in_use(self) -> int:
-        """Currently granted slots."""
-        return self._in_use
+        """1 while the slot is held, else 0."""
+        return 0 if self._busy_since is None else 1
 
     @property
     def queue_length(self) -> int:
-        """Requests waiting for a slot."""
+        """Requests waiting for the slot."""
         return len(self._waiters)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of time at least one slot was busy."""
+        """Fraction of time the slot was busy."""
         busy = self.busy_time
         if self._busy_since is not None:
             busy += self.sim.now - self._busy_since
         total = elapsed if elapsed is not None else self.sim.now
         return 0.0 if total <= 0 else busy / total
-
-    def occupancy(self, elapsed: Optional[float] = None) -> float:
-        """Mean fraction of slots in use over time (the busy-time integral
-        normalized by capacity).  Equals :meth:`utilization` for
-        unit-capacity resources."""
-        integral = self.slot_busy_time + self._in_use * (self.sim.now - self._occ_at)
-        total = elapsed if elapsed is not None else self.sim.now
-        return 0.0 if total <= 0 else integral / (self.capacity * total)
 
 
 class Store:

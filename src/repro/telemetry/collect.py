@@ -91,7 +91,10 @@ def snapshot(sim: "Simulator") -> Dict[str, Number]:
       (histograms expand to ``.count/.sum/.min/.max/.mean``);
     * ``resource.<name>.busy_us / .utilization / .occupancy / .grants /
       .wait_us / .queue_hwm / .in_use_hwm`` — every named
-      :class:`~repro.sim.FifoResource` (links, buses, engines, CPUs);
+      :class:`~repro.sim.FifoResource` (links, buses, engines, CPUs).
+      A resource has one slot, so ``occupancy`` (mean slots in use)
+      repeats ``utilization`` and ``in_use_hwm`` is 1 once anything
+      was granted; both are derived here and kept for the schema;
     * ``store.<name>.puts / .depth_hwm`` — every named
       :class:`~repro.sim.Store` (delivery queues);
     * ``sim.time_us / sim.events`` — kernel totals.
@@ -107,13 +110,14 @@ def snapshot(sim: "Simulator") -> Dict[str, Number]:
         busy = res.busy_time
         if res._busy_since is not None:
             busy += elapsed - res._busy_since
+        utilization = res.utilization(elapsed)
         out[f"{prefix}.busy_us"] = busy
-        out[f"{prefix}.utilization"] = res.utilization(elapsed)
-        out[f"{prefix}.occupancy"] = res.occupancy(elapsed)
+        out[f"{prefix}.utilization"] = utilization
+        out[f"{prefix}.occupancy"] = utilization
         out[f"{prefix}.grants"] = res.total_grants
         out[f"{prefix}.wait_us"] = res.total_wait_time
         out[f"{prefix}.queue_hwm"] = res.queue_hwm
-        out[f"{prefix}.in_use_hwm"] = res.in_use_hwm
+        out[f"{prefix}.in_use_hwm"] = 1 if res.total_grants else 0
     for store in sim.stores:
         if not store.name:
             continue

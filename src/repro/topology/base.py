@@ -199,13 +199,6 @@ class Topology:
         """
         return None
 
-    def failover_route(self, src: int, dst: int) -> Optional[List[Stage]]:
-        """First live route in candidate order (primary first), or None."""
-        route = self._route(src, dst)
-        if self.route_alive(route):
-            return route
-        return self._alternate_route(src, dst)
-
     def migrate(self, src: int, dst: int) -> Optional[List[Stage]]:
         """Install (or confirm) a live route for (src, dst).
 

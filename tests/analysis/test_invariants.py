@@ -69,7 +69,7 @@ class TestInjectedLeaks:
 class TestKernelResidue:
     def test_held_resource_slot_reported(self):
         sim = Simulator()
-        res = FifoResource(sim, capacity=1, name="leaky")
+        res = FifoResource(sim, name="leaky")
 
         def holder():
             yield res.request()

@@ -137,7 +137,7 @@ class TestKernelIntegration:
     def run_two_grants(self, key_of):
         san = RaceSanitizer()
         sim = Simulator(observers=[san])
-        res = FifoResource(sim, capacity=1, name="dut")
+        res = FifoResource(sim, name="dut")
         order = []
 
         def proc(n):
@@ -200,7 +200,7 @@ class TestTiebreakRegression:
 
     def test_same_time_grants_fire_in_request_order(self):
         sim = Simulator()
-        res = FifoResource(sim, capacity=1, name="link")
+        res = FifoResource(sim, name="link")
         fired = []
 
         def proc(n):

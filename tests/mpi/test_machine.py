@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mpi import Machine, NETWORK_LABELS, NETWORKS, build_machine
+from repro.mpi import Machine, NETWORK_LABELS, NETWORKS
 
 
 def trivial(mpi):
@@ -76,11 +76,12 @@ def test_collect_stats():
             yield from mpi.recv(source=0, size=100)
         return None
 
-    result = m.run(prog, collect_stats=True)
-    assert len(result.impl_stats) == 2
+    m.run(prog)
+    stats = [m.impl.finalize_stats(ctx) for ctx in m.contexts]
+    assert len(stats) == 2
     # One application eager send plus the startup barrier's zero-byte one.
-    assert result.impl_stats[0]["eager_sends"] == 2
-    assert "reg_hits" in result.impl_stats[0]
+    assert stats[0]["eager_sends"] == 2
+    assert "reg_hits" in stats[0]
 
 
 def test_elan_stats_shape():
@@ -93,14 +94,14 @@ def test_elan_stats_shape():
             yield from mpi.recv(source=0, size=100)
         return None
 
-    result = m.run(prog, collect_stats=True)
+    m.run(prog)
     # One application message plus the startup barrier's exchange.
-    assert result.impl_stats[0]["tx_count"] == 2
-    assert result.impl_stats[1]["rx_count"] == 2
+    assert m.impl.finalize_stats(m.contexts[0])["tx_count"] == 2
+    assert m.impl.finalize_stats(m.contexts[1])["rx_count"] == 2
 
 
 def test_label_and_builder():
-    m = build_machine("elan", 2)
+    m = Machine("elan", 2)
     assert m.label == "Quadrics Elan-4"
     assert m.n_ranks == 2
 

@@ -98,36 +98,6 @@ def test_process_is_joinable_and_returns_value():
     assert results == [(4.0, 42)]
 
 
-def test_run_until_stops_clock_at_bound():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(100.0)
-
-    sim.spawn(proc())
-    end = sim.run(until=10.0)
-    assert end == 10.0
-    # resuming finishes the rest
-    end = sim.run()
-    assert end == 100.0
-
-
-def test_run_until_process():
-    sim = Simulator()
-
-    def short():
-        yield sim.timeout(1.0)
-
-    def long():
-        yield sim.timeout(50.0)
-
-    p = sim.spawn(short())
-    sim.spawn(long())
-    sim.run(until_process=p)
-    assert sim.now <= 50.0
-    assert p.triggered
-
-
 def test_yielding_non_event_crashes_process():
     sim = Simulator()
 

@@ -6,12 +6,6 @@ from repro.errors import SimulationError
 from repro.sim import FifoResource, Simulator, Store
 
 
-def test_capacity_must_be_positive():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        FifoResource(sim, capacity=0)
-
-
 def test_immediate_grant_when_free():
     sim = Simulator()
     res = FifoResource(sim)
@@ -43,21 +37,6 @@ def test_fifo_order_under_contention():
     sim.spawn(proc("third", 1.0))
     sim.run()
     assert order == [("first", 10.0), ("second", 15.0), ("third", 16.0)]
-
-
-def test_capacity_two_allows_two_concurrent_holders():
-    sim = Simulator()
-    res = FifoResource(sim, capacity=2)
-    done = []
-
-    def proc(tag):
-        yield from res.using(10.0)
-        done.append((tag, sim.now))
-
-    for t in range(3):
-        sim.spawn(proc(t))
-    sim.run()
-    assert done == [(0, 10.0), (1, 10.0), (2, 20.0)]
 
 
 def test_release_of_idle_resource_rejected():
