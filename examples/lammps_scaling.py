@@ -12,7 +12,7 @@ Run:  python examples/lammps_scaling.py          (~2-3 minutes)
 
 import sys
 
-from repro import MEMBRANE, ScalingStudy, lammps_program
+from repro import ScalingStudy
 from repro.core import fit_trend, render_series_table
 from repro.mpi import NETWORK_LABELS
 
@@ -21,7 +21,8 @@ def main():
     quick = "--quick" in sys.argv
     node_counts = [1, 2, 4] if quick else [1, 2, 4, 8, 16, 32]
     study = ScalingStudy(
-        lambda: lammps_program(MEMBRANE),
+        app="lammps",
+        app_args={"config": "membrane"},
         node_counts=node_counts,
         ppns=(1, 2),
         repetitions=2 if quick else 4,

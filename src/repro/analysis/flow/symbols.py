@@ -239,10 +239,6 @@ class SymbolTable:
 
     # -- resolution helpers ------------------------------------------------
 
-    def resolve_import(self, mod: ModuleTable, name: str) -> Optional[str]:
-        """The fully qualified target of a local ``name``, if imported."""
-        return mod.imports.get(name)
-
     def resolve_call_name(
         self, mod: ModuleTable, dotted: Sequence[str]
     ) -> Optional[str]:

@@ -1,9 +1,9 @@
 """Bridges between the campaign engine and the study/figure layers.
 
-:func:`run_study` executes a declarative :class:`~repro.core.study.
-ScalingStudy` through a :class:`~.engine.CampaignEngine` — same cells,
-same seeds, same assembly — so existing figure generators gain caching
-and parallelism without any change in their numbers.  :func:`study_spec`
+:func:`run_study` executes a :class:`~repro.core.study.ScalingStudy`
+through a :class:`~.engine.CampaignEngine` — same cells, same seeds,
+same assembly — so existing figure generators gain caching and
+parallelism without any change in their numbers.  :func:`study_spec`
 exposes the same sweep as a :class:`~.spec.CampaignSpec` for the
 ``repro-campaign`` CLI.
 """
@@ -17,27 +17,17 @@ from .engine import CampaignEngine
 from .spec import CampaignSpec, study_runspecs
 
 
-def _require_declarative(study) -> None:
-    if study.app is None:
-        raise ConfigurationError(
-            "campaign execution needs a declarative study: build "
-            "ScalingStudy with app=/app_args= instead of a closure "
-            "program_factory"
-        )
-
-
 def run_study(
     study,
     engine: CampaignEngine,
     progress: Optional[Callable[[str], None]] = None,
 ):
-    """Run a declarative ScalingStudy's sweep on the campaign engine.
+    """Run a ScalingStudy's sweep on the campaign engine.
 
     Returns the same :class:`~repro.core.study.StudyResult` the study's
     serial runner would produce — the engine only changes *where* and
     *whether* each simulation executes, never its outcome.
     """
-    _require_declarative(study)
     specs = study_runspecs(
         app=study.app,
         app_args=study.app_args,
@@ -65,8 +55,7 @@ def run_study(
 
 
 def study_spec(study, name: str) -> CampaignSpec:
-    """A declarative study as a CampaignSpec (for files and the CLI)."""
-    _require_declarative(study)
+    """A study as a CampaignSpec (for files and the CLI)."""
     base = {"app": study.app}
     base.update({f"app_args.{k}": v for k, v in study.app_args.items()})
     return CampaignSpec(

@@ -40,6 +40,24 @@ def scalar_value(values: List[Any]) -> Optional[float]:
     return float(max(numeric)) if numeric else None
 
 
+def spec_machine(
+    spec: RunSpec, telemetry: Telemetry, profiler: Optional[Any]
+) -> Machine:
+    """A fresh machine for ``spec``: network, shape, seed, fabric, faults,
+    observed by ``telemetry`` and, unless it is ``None``, ``profiler``."""
+    return Machine(
+        spec.network,
+        spec.nodes,
+        ppn=spec.ppn,
+        seed=spec.seed,
+        topology=spec.topology_spec,
+        ib_progress_thread=spec.ib_progress_thread,
+        faults=spec.fault_plan,
+        profiler=profiler,
+        telemetry=telemetry,
+    )
+
+
 def execute_run(
     spec: RunSpec,
     trace: bool = False,
@@ -91,17 +109,7 @@ def execute_run(
 
         profiler = KernelProfiler()
     try:
-        machine = Machine(
-            spec.network,
-            spec.nodes,
-            ppn=spec.ppn,
-            seed=spec.seed,
-            topology=spec.topology_spec,
-            ib_progress_thread=spec.ib_progress_thread,
-            faults=spec.fault_plan,
-            profiler=profiler,
-            telemetry=telemetry,
-        )
+        machine = spec_machine(spec, telemetry, profiler)
         result = machine.run(
             build_program(spec.app, spec.args),
             max_events=max_events,

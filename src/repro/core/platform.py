@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..hardware import POWEREDGE_1750, NodeSpec
+from ..hardware import POWEREDGE_1750
 from ..networks.params import ELAN_4, IB_4X
 
 
@@ -17,13 +17,13 @@ class PlatformRow:
     description: str
 
 
-def table1_rows(node_spec: NodeSpec = POWEREDGE_1750) -> List[PlatformRow]:
+def table1_rows() -> List[PlatformRow]:
     """The platform table: node, both interconnects, MPI stacks."""
     return [
         PlatformRow(
             "Node Type",
             "Dell PowerEdge 1750 Server: "
-            f"Dual {node_spec.cpu_ghz:.2f} GHz Intel Xeon processors, "
+            f"Dual {POWEREDGE_1750.cpu_ghz:.2f} GHz Intel Xeon processors, "
             "533 MHz FSB, ServerWorks GC-LE chip set, "
             "133 MHz PCI-X bus for the high-speed interconnect",
         ),
@@ -50,9 +50,9 @@ def table1_rows(node_spec: NodeSpec = POWEREDGE_1750) -> List[PlatformRow]:
     ]
 
 
-def render_table1(rows: List[PlatformRow] = None) -> str:
+def render_table1() -> str:
     """ASCII rendering of Table 1."""
-    rows = rows if rows is not None else table1_rows()
+    rows = table1_rows()
     width = max(len(r.system) for r in rows)
     lines = ["Table 1. Evaluation platform", "-" * 72]
     for r in rows:

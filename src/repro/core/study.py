@@ -1,20 +1,15 @@
 """Scaling-study orchestration: network x PPN x node-count sweeps.
 
-A :class:`ScalingStudy` runs one application program factory across both
-networks, both PPN modes and a list of node counts, with each data point
-averaged over four repetitions on machines seeded differently — exactly
-the paper's methodology ("Each data point is the average of four
-benchmark runs").
+A :class:`ScalingStudy` runs one application across both networks, both
+PPN modes and a list of node counts, with each data point averaged over
+four repetitions on machines seeded differently — exactly the paper's
+methodology ("Each data point is the average of four benchmark runs").
 
-A study can be built two ways:
-
-* with a ``program_factory`` closure (the historical API), which runs
-  serially in-process; or
-* declaratively with an ``app`` id plus ``app_args`` (see
-  :mod:`repro.campaign.programs`), which additionally lets ``run()``
-  execute the sweep through a :class:`repro.campaign.CampaignEngine` —
-  parallel across workers, memoized on disk, and resumable — while
-  producing bit-identical results.
+The application is declarative: an ``app`` id plus ``app_args`` (see
+:mod:`repro.campaign.programs`).  ``run()`` executes the sweep serially
+in-process, or through a :class:`repro.campaign.CampaignEngine` —
+parallel across workers, memoized on disk, and resumable — with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,8 +24,6 @@ from .efficiency import efficiency_series, fixed_efficiency, scaled_efficiency
 
 #: The paper's repetition count.
 DEFAULT_REPETITIONS = 4
-
-ProgramMaker = Callable[[], Callable]
 
 #: One (network, ppn, nodes) sweep cell, in study order.
 StudyCell = Tuple[str, int, int]
@@ -118,15 +111,14 @@ class ScalingStudy:
 
     def __init__(
         self,
-        program_factory: Optional[Callable[[], Callable]] = None,
+        app: str,
+        app_args: Optional[Mapping[str, Any]] = None,
         node_counts: Sequence[int] = (),
         networks: Sequence[str] = ("ib", "elan"),
         ppns: Sequence[int] = (1,),
         repetitions: int = DEFAULT_REPETITIONS,
         mode: str = "scaled",
         seed_base: int = 1000,
-        app: Optional[str] = None,
-        app_args: Optional[Mapping[str, Any]] = None,
     ) -> None:
         if not node_counts:
             raise ConfigurationError("need at least one node count")
@@ -134,11 +126,6 @@ class ScalingStudy:
             raise ConfigurationError(f"unknown study mode {mode!r}")
         if repetitions < 1:
             raise ConfigurationError("need at least one repetition")
-        if program_factory is None and app is None:
-            raise ConfigurationError(
-                "need a program_factory or a declarative app id"
-            )
-        self.program_factory = program_factory
         self.node_counts = list(node_counts)
         self.networks = list(networks)
         self.ppns = list(ppns)
@@ -147,14 +134,6 @@ class ScalingStudy:
         self.seed_base = seed_base
         self.app = app
         self.app_args = dict(app_args) if app_args else {}
-
-    def make_program(self) -> Callable:
-        """A fresh per-rank program for one measurement run."""
-        if self.program_factory is not None:
-            return self.program_factory()
-        from ..campaign.programs import build_program
-
-        return build_program(self.app, self.app_args)
 
     def cells(self) -> List[StudyCell]:
         """Every (network, ppn, nodes) cell in canonical sweep order."""
@@ -196,18 +175,19 @@ class ScalingStudy:
         """Execute the full sweep; deterministic for a fixed seed_base.
 
         With a :class:`repro.campaign.CampaignEngine` the sweep's runs go
-        through the engine's cache and worker pool (the study must have
-        been built declaratively with ``app=``); results are identical
-        to the serial path either way.
+        through the engine's cache and worker pool; results are
+        identical to the serial path either way.
         """
         if engine is not None:
             from ..campaign.adapters import run_study
 
             return run_study(self, engine, progress=progress)
+        from ..campaign.programs import build_program
+
         values: Dict[Tuple[str, int, int, int], float] = {}
         for network, ppn, nodes in self.cells():
             for rep, seed in enumerate(self.seeds()):
                 machine = Machine(network, nodes, ppn=ppn, seed=seed)
-                result = machine.run(self.make_program())
+                result = machine.run(build_program(self.app, self.app_args))
                 values[(network, ppn, nodes, rep)] = max(result.values)
         return self.assemble(values, progress=progress)

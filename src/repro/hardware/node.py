@@ -9,11 +9,11 @@ more ranks than processors).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ..errors import ConfigurationError
 from ..sim import Event, FifoResource, Stage
-from .specs import NodeSpec, POWEREDGE_1750
+from .specs import POWEREDGE_1750
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -56,15 +56,10 @@ class Cpu:
 class Node:
     """One compute node: CPUs plus the shared PCI-X and memory buses."""
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        node_id: int,
-        spec: Optional[NodeSpec] = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", node_id: int) -> None:
         self.sim = sim
         self.node_id = node_id
-        self.spec = spec if spec is not None else POWEREDGE_1750
+        self.spec = POWEREDGE_1750
         self.cpus: List[Cpu] = [
             Cpu(sim, node_id, i) for i in range(self.spec.cpus)
         ]
@@ -73,8 +68,6 @@ class Node:
         self.pcix = FifoResource(sim, name=f"pcix{node_id}")
         #: Memory bus for host-driven copies (eager bounce buffers).
         self.membus = FifoResource(sim, name=f"membus{node_id}")
-        #: Set by the network layer when a NIC is attached.
-        self.nic: Optional[object] = None
         #: Number of local ranks currently spin-polling their MPI library
         #: (host-based implementations only); co-resident compute slows
         #: while this is non-zero.

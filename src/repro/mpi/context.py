@@ -11,10 +11,10 @@ own process.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ..errors import MpiError
-from ..hardware import Node, PollutionSpec, XEON_POLLUTION
+from ..hardware import Node, XEON_POLLUTION
 from ..hardware.node import Cpu
 from ..sim import Event
 from .request import Request
@@ -35,7 +35,6 @@ class RankContext:
         node: Node,
         cpu: Cpu,
         nic: "Nic",
-        pollution: Optional[PollutionSpec] = None,
     ) -> None:
         self.sim = sim
         self.rank = rank
@@ -43,7 +42,7 @@ class RankContext:
         self.node = node
         self.cpu = cpu
         self.nic = nic
-        self.pollution = pollution if pollution is not None else XEON_POLLUTION
+        self.pollution = XEON_POLLUTION
         #: Bytes handled by host-side MPI code since the last compute
         #: region — drives the cache-pollution compute slowdown.  Only the
         #: MVAPICH path ever charges it.

@@ -136,7 +136,7 @@ class Machine:
             if injector.hard is not None:
                 injector.hard.arm(self.sim, self.fabric)
         self.nodes: List[Node] = [
-            Node(self.sim, i, POWEREDGE_1750) for i in range(n_nodes)
+            Node(self.sim, i) for i in range(n_nodes)
         ]
         if network == "ib":
             self.impl: Any = MvapichImpl(

@@ -92,10 +92,6 @@ class Nic:
             latency_out=0.0,
             name=f"nicrx{node.node_id}",
         )
-        node.nic = self
-        #: Statistics.
-        self.messages_sent = 0
-        self.bytes_sent = 0
 
     # -- path construction ---------------------------------------------------
 
@@ -138,8 +134,6 @@ class Nic:
         """
         if size < 0:
             raise NetworkError(f"negative payload size: {size}")
-        self.messages_sent += 1
-        self.bytes_sent += size
         stages = self.payload_stages(dst_nic)
         start = self.sim.now
         if span.live:
@@ -207,15 +201,11 @@ class Nic:
     ) -> Generator[Event, Any, float]:
         """Deliver one message across a lossy fabric (subclass recovery).
 
-        The base class assumes a lossless wire and simply transfers; the
-        technology models override this with their real recovery
+        The technology models implement this with their real recovery
         machinery (IB end-to-end retransmit, Elan link-level retry),
         annotating retries onto the lifecycle ``span``.
         """
-        end = yield from transfer(
-            self.sim, stages, size, chunk=self.chunk, key=key
-        )
-        return end
+        raise NotImplementedError
 
     def _wire_links(self, dst_nic: "Nic") -> List[Stage]:
         """The fabric link stages a message to ``dst_nic`` crosses."""

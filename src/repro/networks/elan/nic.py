@@ -119,9 +119,6 @@ class ElanNic(Nic):
         #: Unexpected payload bytes currently buffered in system memory.
         self.buffered_bytes = 0
         self.max_buffered_bytes = 0
-        #: Link-level hardware retries performed below this NIC (never
-        #: visible to MPI — the cost is latency only).
-        self.link_retries = 0
         self._c_match_attempts = sim.metrics.counter("elan.thread.match_attempts")
         self._h_match_cost = sim.metrics.histogram("elan.thread.match_cost_us")
         self._c_unexpected = sim.metrics.counter("elan.thread.unexpected_parked")
@@ -238,7 +235,6 @@ class ElanNic(Nic):
                 )
                 bad = faults.retry_errors(st.name, bad, self.chunk)
         if retries:
-            self.link_retries += retries
             self._c_link_retries.inc(retries)
             span.bump("elan_link_retries", retries)
             faults.elan_link_retries += retries
@@ -270,7 +266,6 @@ class ElanNic(Nic):
         burn = retries * (
             st.chunk_time(self.chunk) + plan.elan_retry_turnaround_us
         )
-        self.link_retries += retries
         self._c_link_retries.inc(retries)
         span.bump("elan_link_retries", retries)
         faults.elan_link_retries += retries

@@ -68,8 +68,6 @@ class Hca(Nic):
         #: Established queue pairs, as (local_rank, remote_rank) pairs.
         self._connections: Set[tuple] = set()
         self.qp_count = 0
-        #: End-to-end retransmissions performed by this HCA's transport.
-        self.retransmits = 0
         self._c_retransmits = sim.metrics.counter("mvapich.transport.retransmits")
         self._c_timeout_us = sim.metrics.counter(
             "mvapich.transport.timeout_backoff_us"
@@ -280,7 +278,6 @@ class Hca(Nic):
                     attempts=attempts,
                     link=dead[0] if dead else (wire[0].name if wire else ""),
                 )
-            self.retransmits += 1
             self._c_retransmits.inc()
             self._c_timeout_us.inc(timeout)
             span.bump("ib_retransmits")

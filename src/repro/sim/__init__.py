@@ -14,7 +14,7 @@ reached as ``sim.trace``.
 from .engine import Observer, Simulator
 from .events import AllOf, AnyOf, Event, Timeout
 from .pipelines import DEFAULT_CHUNK, Stage, transfer, transfer_time_estimate
-from .process import Interrupted, Process
+from .process import Process
 from .resources import FifoResource, Store
 from .rng import RngStreams
 
@@ -26,7 +26,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
-    "Interrupted",
     "FifoResource",
     "Store",
     "RngStreams",

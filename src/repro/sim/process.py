@@ -80,8 +80,6 @@ class Process(Event):
         """Advance the generator with the value (or exception) of ``ev``."""
         if self._value is not _PENDING or self._exception is not None:
             return  # stale wakeup after the process already finished
-        if self._waiting_on is not None and ev is not self._waiting_on:
-            return  # superseded (e.g. by an interrupt); ignore the old event
         self._waiting_on = None
         try:
             if ev._exception is not None:
@@ -111,29 +109,6 @@ class Process(Event):
         else:
             target.add_callback(self._resume)
 
-    def interrupt(self, exc: Optional[BaseException] = None) -> None:
-        """Throw ``exc`` (default :class:`Interrupted`) into the process.
-
-        Used by failure-injection tests.  The process may catch it and keep
-        running; uncaught, it fails the process event.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        kick = Event(self.sim)
-        kick.add_callback(self._resume)
-        kick._exception = exc if exc is not None else Interrupted(self.name)
-        self.sim._schedule_event(kick)
-        # Supersede whatever the process was waiting on so its eventual
-        # trigger is ignored as a stale wakeup.
-        self._waiting_on = kick
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"
         return f"<Process {self.name} {state}>"
-
-
-class Interrupted(SimulationError):
-    """Default exception delivered by :meth:`Process.interrupt`."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"process {name!r} interrupted")

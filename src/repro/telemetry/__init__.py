@@ -34,10 +34,10 @@ this package makes those mechanisms *numbers*:
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Chrome
   ``trace_event`` JSON timelines (load in ``chrome://tracing`` or
   Perfetto), with the metrics dict embedded under ``otherData``.
-* ``repro-trace`` (:mod:`repro.telemetry.cli`) — record / dump /
-  summarize / diff traces from the shell.
-* ``repro-explain`` (:mod:`repro.telemetry.explain`) — run a traced
-  benchmark and render waterfall + blame analysis as JSON and HTML.
+* ``repro-explain`` (:mod:`repro.telemetry.explain`) — the one
+  telemetry CLI: ``run`` a traced benchmark and write its waterfall +
+  blame analysis as JSON and HTML (``--chrome`` adds its Chrome trace),
+  ``dump`` / ``summarize`` a trace, and ``diff`` two reports or traces.
 
 Telemetry never touches simulation behaviour: no events are scheduled,
 no randomness is drawn, and enabling it leaves every simulated timing

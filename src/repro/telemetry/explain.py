@@ -1,28 +1,42 @@
 """``repro-explain``: where did the time go, and whose fault is it?
 
-``run`` executes one declarative app (the campaign registry) on a fresh
-machine with lifecycle spans and series sampling enabled, then folds the
-span graph into an *explanation*: the critical path through the run, a
-per-component blame table (host / pcix / nic / link / switch / waiting /
-app), a latency waterfall of mean per-phase time for every (kind, proto,
-size) bucket, and the sampled occupancy series.  The result is written
-as JSON and, optionally, as a self-contained HTML report (inline CSS and
-SVG, no external assets) with stacked waterfall bars, the blame table,
-and per-channel sparklines.
+One console script for every telemetry view of a simulated run.
 
-``diff`` compares the blame tables of two reports and exits non-zero
-when any component's share of the critical path drifted past a
-threshold — a shell-pipeline gate against "the optimization moved the
-bottleneck" regressions, same spirit as ``repro-trace diff`` but over
-*attribution* rather than raw metrics.
+``run`` executes one declarative app on a fresh machine with lifecycle
+spans and series sampling enabled.  Its flags become a
+:class:`~repro.campaign.RunSpec`, so the run is validated, canonicalized
+and labelled exactly as campaign and serve runs are.  The span graph
+folds into an *explanation*: the critical path through the run, a
+per-component blame table (host / pcix / nic / link / switch / waiting
+/ app), a latency waterfall of mean per-phase time for every (kind,
+proto, size) bucket, and the sampled occupancy series.  The result is
+written as JSON and, optionally, as a self-contained HTML report
+(inline CSS and SVG, no external assets) with stacked waterfall bars,
+the blame table, and per-channel sparklines.  ``--chrome PATH`` also
+writes the same run's Chrome ``trace_event`` timeline, with the
+resource timeline and the protocol trace log switched on.
+
+``dump`` prints a Chrome trace's events as text; ``summarize``
+aggregates one (per-category counts, per-track busy time, slowest
+spans, a per-phase histogram, the metrics dict).
+
+``diff`` decides from its two files what to compare.  Two reports: the
+blame tables, exiting 1 when any component's share of the critical
+path drifted past ``--threshold`` (a gate against "the optimization
+moved the bottleneck").  Two Chrome traces or bare metrics dicts: the
+metrics, exactly, exiting 1 when any of them moved.  A report against
+a trace is a usage error (exit 2).
 
 Examples::
 
     repro-explain run --app pingpong --network ib --nodes 2 \\
-        --arg size=4194304 -o ib-4mb.json --html ib-4mb.html
+        --arg size=4194304 -o ib-4mb.json --html ib-4mb.html \\
+        --chrome ib-4mb.trace.json
     repro-explain run --app pingpong --network elan --nodes 2 \\
-        --arg size=4194304 -o elan-4mb.json
+        --arg size=4194304 -o elan-4mb.json --chrome elan-4mb.trace.json
+    repro-explain summarize ib-4mb.trace.json --top 10 --phase
     repro-explain diff ib-4mb.json elan-4mb.json --threshold 0.05
+    repro-explain diff ib-4mb.trace.json elan-4mb.trace.json
 """
 
 from __future__ import annotations
@@ -32,10 +46,12 @@ import html as _html
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..version import __version__
+from .chrome import load_trace
+from .collect import Telemetry
 from .critical_path import blame, critical_path
 from .lifecycle import matched_on_arrival_share
 
@@ -268,45 +284,47 @@ over {report['critical_path_segments']} segments</p>
 # -- CLI ---------------------------------------------------------------------
 
 
-def _parse_arg(text: str) -> tuple:
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
-    name, raw = text.split("=", 1)
-    value: Any = raw
-    for cast in (int, float):
-        try:
-            value = cast(raw)
-            break
-        except ValueError:
-            continue
-    return name, value
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    # Imported lazily so `diff` works on bare report files without
-    # dragging the whole simulator stack in.
+    # Imported lazily so the file verbs work on bare report and trace
+    # files without dragging the whole simulator stack in.
+    from ..campaign.cli import _pairs
     from ..campaign.programs import build_program
-    from ..mpi import Machine
-    from .collect import Telemetry
+    from ..campaign.runner import spec_machine
+    from ..campaign.spec import RunSpec
 
-    machine = Machine(
-        args.network,
-        args.nodes,
+    spec = RunSpec(
+        app=args.app,
+        network=args.network,
+        nodes=args.nodes,
         ppn=args.ppn,
         seed=args.seed,
-        telemetry=Telemetry(metrics=True, lifecycle=True, series=True),
+        app_args=tuple(_pairs(args.arg).items()),
     )
-    result = machine.run(build_program(args.app, dict(args.arg or [])))
-    label = args.label or (
-        f"{args.app} {args.network} {args.nodes}n x{args.ppn}ppn "
-        f"seed={args.seed}"
+    # A Chrome trace also shows the resource timeline and the trace log.
+    chrome = bool(args.chrome)
+    machine = spec_machine(
+        spec,
+        Telemetry(
+            metrics=True,
+            timeline=chrome,
+            lifecycle=True,
+            series=True,
+            trace=chrome,
+        ),
+        None,
     )
-    report = build_report(machine, result, label=label)
+    result = machine.run(build_program(spec.app, spec.args))
+    report = build_report(machine, result, label=args.label or spec.label())
     Path(args.output).write_text(json.dumps(report, sort_keys=True))
     written = [str(args.output)]
     if args.html:
         Path(args.html).write_text(build_html(report))
         written.append(str(args.html))
+    counts = f"{report['spans']} spans"
+    if chrome:
+        trace = machine.write_chrome_trace(args.chrome, label=report["label"])
+        written.append(str(args.chrome))
+        counts += f", {len(trace['traceEvents'])} trace events"
     top = sorted(
         report["blame"]["components"].items(), key=lambda kv: -kv[1]["us"]
     )[:3]
@@ -314,21 +332,127 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{name} {entry['share'] * 100:.1f}%" for name, entry in top
     )
     print(
-        f"wrote {' + '.join(written)}: {report['spans']} spans, "
+        f"wrote {' + '.join(written)}: {counts}, "
         f"elapsed {report['elapsed_us']:.2f}us, blame: {top_text or 'n/a'}"
     )
     return 0
 
 
-def _report_of(path) -> Dict[str, Any]:
+def _events(trace: Dict[str, Any]) -> List[Dict[str, Any]]:
+    return [e for e in trace["traceEvents"] if e.get("ph") != "M"]
+
+
+def _track_names(trace: Dict[str, Any]) -> Dict[int, str]:
+    names = {}
+    for event in trace["traceEvents"]:
+        if event.get("ph") == "M" and event.get("name") == "thread_name":
+            names[event["tid"]] = event["args"]["name"]
+    return names
+
+
+def cmd_dump(args: argparse.Namespace) -> int:
+    trace = load_trace(args.file)
+    tracks = _track_names(trace)
+    shown = 0
+    for event in sorted(_events(trace), key=lambda e: (e["ts"], e["tid"])):
+        if args.category and event.get("cat") != args.category:
+            continue
+        if args.limit and shown >= args.limit:
+            print("...")
+            break
+        shown += 1
+        track = tracks.get(event["tid"], str(event["tid"]))
+        if event["ph"] == "X":
+            body = f"dur={event['dur']:.3f}us"
+        else:
+            body = event.get("args", {}).get("message", "")
+        print(
+            f"{event['ts']:12.3f} {event['ph']} {track:24s} "
+            f"{event.get('cat', '')}: {body}"
+        )
+    return 0
+
+
+def cmd_summarize(args: argparse.Namespace) -> int:
+    trace = load_trace(args.file)
+    other = trace.get("otherData", {})
+    events = _events(trace)
+    tracks = _track_names(trace)
+    print(f"trace: {args.file}")
+    if other.get("label"):
+        print(f"label: {other['label']} (repro {other.get('version', '?')})")
+    by_cat: Dict[str, int] = {}
+    busy: Dict[int, float] = {}
+    for event in events:
+        cat = event.get("cat", "")
+        by_cat[cat] = by_cat.get(cat, 0) + 1
+        if event["ph"] == "X":
+            busy[event["tid"]] = busy.get(event["tid"], 0.0) + event["dur"]
+    print(f"events: {len(events)} across {len(by_cat)} categories")
+    for cat, count in sorted(by_cat.items()):
+        print(f"  {cat:32s} {count}")
+    if busy:
+        print("busy time per track (top 10):")
+        top = sorted(busy.items(), key=lambda kv: -kv[1])[:10]
+        for tid, total in top:
+            print(f"  {tracks.get(tid, str(tid)):32s} {total:.3f}us")
+    if args.top:
+        slow = sorted(
+            (e for e in events if e["ph"] == "X"),
+            key=lambda e: (-e["dur"], e["ts"], e["tid"]),
+        )[: args.top]
+        print(f"slowest {len(slow)} spans:")
+        for event in slow:
+            track = tracks.get(event["tid"], str(event["tid"]))
+            print(
+                f"  {event['dur']:12.3f}us {track:24s} "
+                f"{event.get('cat', '')}: {event['name']} @ {event['ts']:.3f}"
+            )
+    if args.phase:
+        hist: Dict[tuple, List[float]] = {}
+        for event in events:
+            if event["ph"] != "X":
+                continue
+            hist.setdefault((event.get("cat", ""), event["name"]), []).append(
+                event["dur"]
+            )
+        print(f"phase histogram: {len(hist)} (category, name) cells")
+        for (cat, name), durs in sorted(hist.items()):
+            total = sum(durs)
+            print(
+                f"  {cat:28s} {name:20s} n={len(durs):6d} "
+                f"total={total:12.3f}us mean={total / len(durs):10.3f}us "
+                f"max={max(durs):10.3f}us"
+            )
+    dropped = other.get("dropped") or {}
+    if any(dropped.values()):
+        print("dropped records (cap hit):")
+        for source, by_cat in sorted(dropped.items()):
+            for cat, count in sorted(by_cat.items()):
+                print(f"  {source}.{cat}: {count}")
+    metrics = other.get("metrics") or {}
+    if metrics:
+        print(f"metrics: {len(metrics)}")
+        for name, value in sorted(metrics.items()):
+            print(f"  {name} = {value}")
+    return 0
+
+
+def _diff_operand(path) -> Tuple[bool, Dict[str, Any]]:
+    """``(True, report)`` for a report, ``(False, metrics)`` otherwise."""
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "blame" not in data:
-        raise ReproError(f"{path} is not a repro-explain report")
-    return data
+    if not isinstance(data, dict):
+        raise ReproError(
+            f"{path} holds neither a report, a trace nor a metrics dict"
+        )
+    if "blame" in data:
+        return True, data
+    if "traceEvents" in data:
+        return False, (data.get("otherData") or {}).get("metrics") or {}
+    return False, data  # a bare metrics dict is also accepted
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    a, b = _report_of(args.a), _report_of(args.b)
+def _diff_blame(a: Dict[str, Any], b: Dict[str, Any], args) -> int:
     ca = a["blame"]["components"]
     cb = b["blame"]["components"]
     regressed = False
@@ -362,11 +486,39 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _diff_metrics(a: Dict[str, Any], b: Dict[str, Any]) -> int:
+    changed = False
+    for name in sorted(set(a) | set(b)):
+        if name not in a:
+            print(f"+ {name} = {b[name]}")
+            changed = True
+        elif name not in b:
+            print(f"- {name} = {a[name]}")
+            changed = True
+        elif a[name] != b[name]:
+            print(f"~ {name}: {a[name]} -> {b[name]}")
+            changed = True
+    if not changed:
+        print(f"identical: {len(a)} metrics match")
+    return 1 if changed else 0
+
+
+def cmd_diff(args: argparse.Namespace) -> int:
+    report_a, a = _diff_operand(args.a)
+    report_b, b = _diff_operand(args.b)
+    if report_a != report_b:
+        raise ReproError(
+            f"cannot diff {args.a} against {args.b}: give two reports, "
+            "or two traces or metrics dicts"
+        )
+    return _diff_blame(a, b, args) if report_a else _diff_metrics(a, b)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-explain",
-        description="Run a traced app and explain its critical path, or "
-        "diff two explanations.",
+        description="Run a traced app and explain its critical path, "
+        "inspect its Chrome trace, or diff two reports or traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -381,17 +533,46 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--arg",
         action="append",
-        type=_parse_arg,
         metavar="NAME=VALUE",
         help="app argument (repeatable), e.g. --arg size=4194304",
     )
     run.add_argument("--label", default="", help="report label")
     run.add_argument("-o", "--output", default="explain.json")
     run.add_argument("--html", default="", help="also write an HTML report")
+    run.add_argument(
+        "--chrome",
+        default="",
+        metavar="PATH",
+        help="also write the run's Chrome trace_event JSON",
+    )
     run.set_defaults(func=cmd_run)
 
+    dump = sub.add_parser("dump", help="print a trace's events as text")
+    dump.add_argument("file")
+    dump.add_argument("--category", default="", help="only this category")
+    dump.add_argument("--limit", type=int, default=0, help="max events (0=all)")
+    dump.set_defaults(func=cmd_dump)
+
+    summ = sub.add_parser("summarize", help="aggregate one trace")
+    summ.add_argument("file")
+    summ.add_argument(
+        "--top",
+        type=int,
+        default=0,
+        metavar="N",
+        help="also list the N slowest complete events",
+    )
+    summ.add_argument(
+        "--phase",
+        action="store_true",
+        help="also print a per-(category, name) duration histogram",
+    )
+    summ.set_defaults(func=cmd_summarize)
+
     diff = sub.add_parser(
-        "diff", help="compare the blame tables of two reports"
+        "diff",
+        help="compare the blame tables of two reports, or the metrics "
+        "of two traces or metrics dicts",
     )
     diff.add_argument("a")
     diff.add_argument("b")
@@ -399,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=0.05,
-        help="max tolerated per-component share drift (default 0.05)",
+        help="max tolerated per-component share drift between two "
+        "reports (default 0.05)",
     )
     diff.set_defaults(func=cmd_diff)
     return parser

@@ -57,15 +57,6 @@ class Channel:
         points.append((now, value))
         bank.total_points += 1
 
-    def value_at(self, t: float) -> float:
-        """Step-function value at time ``t`` (0.0 before the first point)."""
-        value = 0.0
-        for pt, pv in self.points:
-            if pt > t:
-                break
-            value = pv
-        return value
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -80,9 +71,6 @@ class _NullChannel:
 
     def record(self, now: float, value: float) -> None:
         pass
-
-    def value_at(self, t: float) -> float:
-        return 0.0
 
     def __len__(self) -> int:
         return 0

@@ -22,15 +22,6 @@ def declarative_study():
     return ScalingStudy(app="lammps", app_args=QUICK_LJS, **STUDY_KWARGS)
 
 
-def closure_study():
-    from dataclasses import replace
-
-    from repro.apps import LJS, lammps_program
-
-    cfg = replace(LJS, steps=2, thermo_every=1)
-    return ScalingStudy(lambda: lammps_program(cfg), **STUDY_KWARGS)
-
-
 def curves_of(result):
     return {
         cell: [(p.nodes, p.stats.values) for p in points]
@@ -44,14 +35,6 @@ def test_engine_study_matches_serial_study(tmp_path):
     via_engine = declarative_study().run(engine=engine)
     assert curves_of(serial) == curves_of(via_engine)
     assert via_engine.mode == serial.mode
-
-
-def test_engine_study_matches_closure_study(tmp_path):
-    """Declarative app id rebuilds exactly the closure's program."""
-    engine = CampaignEngine(root=tmp_path, workers=1)
-    assert curves_of(closure_study().run()) == curves_of(
-        declarative_study().run(engine=engine)
-    )
 
 
 def test_second_engine_run_is_all_cache_hits(tmp_path):
@@ -70,12 +53,6 @@ def test_progress_messages_match_serial(tmp_path):
     declarative_study().run(progress=engine_msgs.append, engine=engine)
     assert serial_msgs == engine_msgs
     assert len(serial_msgs) == 4  # one per (network, ppn, nodes) cell
-
-
-def test_closure_study_rejects_engine(tmp_path):
-    engine = CampaignEngine(root=tmp_path, workers=1)
-    with pytest.raises(ConfigurationError):
-        closure_study().run(engine=engine)
 
 
 def test_failed_run_surfaces_as_error(tmp_path):

@@ -2,30 +2,27 @@
 
 import pytest
 
-from repro.apps import LJS, lammps_program
 from repro.core import ScalingStudy
 from repro.errors import ConfigurationError
 
-
-def quick_ljs():
-    from dataclasses import replace
-
-    return lammps_program(replace(LJS, steps=2, thermo_every=1))
+QUICK_LJS = dict(
+    app="lammps", app_args={"config": "ljs", "steps": 2, "thermo_every": 1}
+)
 
 
 def test_study_validation():
     with pytest.raises(ConfigurationError):
-        ScalingStudy(quick_ljs, node_counts=[])
+        ScalingStudy(**QUICK_LJS, node_counts=[])
     with pytest.raises(ConfigurationError):
-        ScalingStudy(quick_ljs, node_counts=[1], mode="weird")
+        ScalingStudy(**QUICK_LJS, node_counts=[1], mode="weird")
     with pytest.raises(ConfigurationError):
-        ScalingStudy(quick_ljs, node_counts=[1], repetitions=0)
+        ScalingStudy(**QUICK_LJS, node_counts=[1], repetitions=0)
 
 
 @pytest.fixture(scope="module")
 def small_result():
     study = ScalingStudy(
-        quick_ljs,
+        **QUICK_LJS,
         node_counts=[1, 2, 4],
         networks=("ib", "elan"),
         ppns=(1,),
@@ -71,7 +68,7 @@ def test_efficiency_declines_with_nodes(small_result):
 def test_progress_callback_invoked():
     messages = []
     study = ScalingStudy(
-        quick_ljs, node_counts=[1, 2], networks=("elan",), repetitions=1
+        **QUICK_LJS, node_counts=[1, 2], networks=("elan",), repetitions=1
     )
     study.run(progress=messages.append)
     assert len(messages) == 2
@@ -79,11 +76,9 @@ def test_progress_callback_invoked():
 
 
 def test_fixed_mode_uses_process_counts():
-    from repro.apps import Sweep3dConfig, sweep3d_program
-
-    cfg = Sweep3dConfig(n=30, iterations=1)
     study = ScalingStudy(
-        lambda: sweep3d_program(cfg),
+        app="sweep3d",
+        app_args={"n": 30, "iterations": 1},
         node_counts=[1, 4],
         networks=("elan",),
         repetitions=1,

@@ -38,7 +38,6 @@ def test_ib_moderate_ber_costs_latency_not_correctness():
     stats = machine.sim.faults.stats()
     assert stats["ib_retransmits"] >= 1
     assert stats["ib_timeout_us"] > 0.0
-    assert sum(nic.retransmits for nic in machine.nics) == stats["ib_retransmits"]
 
 
 def test_ib_heavy_ber_exhausts_retry_budget():
@@ -65,7 +64,6 @@ def test_elan_survives_heavy_ber_with_latency_only():
     assert result.values[0] > pristine_latency("elan")
     stats = machine.sim.faults.stats()
     assert stats["elan_link_retries"] >= 1
-    assert sum(nic.link_retries for nic in machine.nics) > 0
 
 
 def test_elan_degrades_monotonically_in_expectation():

@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.mpi import Machine
-from repro.sim import Interrupted
 
 
 def test_rank_that_stops_calling_mpi_deadlocks_peers():
@@ -54,47 +53,6 @@ def test_crashing_rank_aborts_with_cause():
     with pytest.raises(SimulationError) as ei:
         m.run(prog)
     assert isinstance(ei.value.__cause__, RuntimeError)
-
-
-def test_interrupted_rank_can_recover():
-    """A rank may catch an injected interrupt and continue correctly."""
-    from repro.sim import Simulator
-
-    m = Machine("elan", 2)
-    results = {}
-
-    def victim(mpi):
-        try:
-            yield from mpi.compute(1000.0)
-        except Interrupted:
-            results["interrupted_at"] = mpi.now
-        yield from mpi.barrier()
-        return True
-
-    def bystander(mpi):
-        yield from mpi.barrier()
-        return True
-
-    # Run manually to get a handle on the victim process.
-    procs = []
-
-    def runner(rank):
-        api = m.apis[rank]
-        yield from m.impl.init(api.ctx)
-        body = victim if rank == 0 else bystander
-        results[rank] = yield from body(api)
-
-    p0 = m.sim.spawn(runner(0), name="victim")
-    m.sim.spawn(runner(1), name="bystander")
-
-    def interrupter():
-        yield m.sim.timeout(500.0)
-        p0.interrupt()
-
-    m.sim.spawn(interrupter())
-    m.sim.run_all()
-    assert results[0] and results[1]
-    assert "interrupted_at" in results
 
 
 def test_send_to_self_via_wrong_rank_detected():

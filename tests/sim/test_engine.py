@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Interrupted, Simulator
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -153,26 +153,6 @@ def test_exception_propagates_through_join():
         sim.run()
     # Note: fail-fast means even joined crashes abort; models must not
     # raise across process boundaries as control flow.
-
-
-def test_interrupt_delivers_exception():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupted:
-            log.append(sim.now)
-
-    def interrupter(target):
-        yield sim.timeout(5.0)
-        target.interrupt()
-
-    p = sim.spawn(sleeper())
-    sim.spawn(interrupter(p))
-    sim.run()
-    assert log == [5.0]
 
 
 def test_run_all_detects_deadlock():

@@ -1,10 +1,10 @@
-"""Tests for the repro-trace console script (record/dump/summarize/diff)."""
+"""Tests for repro-explain's trace verbs: run --chrome, dump, summarize, diff."""
 
 import json
 
 import pytest
 
-from repro.telemetry.cli import main
+from repro.telemetry.explain import main
 
 pytestmark = pytest.mark.telemetry
 
@@ -15,15 +15,17 @@ def run_cli(*argv):
 
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("trace") / "ib.json"
+    root = tmp_path_factory.mktemp("trace")
+    path = root / "ib.json"
     code = run_cli(
-        "record",
+        "run",
         "--app", "pingpong",
         "--network", "ib",
         "--nodes", 2,
         "--arg", "size=65536",
         "--arg", "repetitions=3",
-        "-o", path,
+        "-o", root / "ib-report.json",
+        "--chrome", path,
     )
     assert code == 0
     return path
@@ -37,9 +39,16 @@ def test_record_writes_loadable_json(trace_file, capsys):
 
 def test_record_reports_counts(tmp_path, capsys):
     path = tmp_path / "t.json"
-    assert run_cli("record", "--nodes", 2, "--arg", "size=1024", "-o", path) == 0
+    assert (
+        run_cli(
+            "run", "--nodes", 2, "--arg", "size=1024",
+            "-o", tmp_path / "r.json", "--chrome", path,
+        )
+        == 0
+    )
     out = capsys.readouterr().out
-    assert "events" in out and "metrics" in out
+    assert "spans" in out and "trace events" in out
+    assert str(path) in out
 
 
 def test_dump_prints_events(trace_file, capsys):
@@ -73,12 +82,13 @@ def test_diff_different_exits_one(trace_file, tmp_path, capsys):
     other = tmp_path / "elan.json"
     assert (
         run_cli(
-            "record",
+            "run",
             "--network", "elan",
             "--nodes", 2,
             "--arg", "size=65536",
             "--arg", "repetitions=3",
-            "-o", other,
+            "-o", tmp_path / "elan-report.json",
+            "--chrome", other,
         )
         == 0
     )
@@ -97,6 +107,16 @@ def test_diff_accepts_bare_metrics_dicts(tmp_path, capsys):
     assert "~ y: 2 -> 3" in capsys.readouterr().out
 
 
+def test_diff_report_against_trace_exits_two(trace_file, tmp_path, capsys):
+    report = trace_file.parent / "ib-report.json"
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"x": 1}))
+    assert run_cli("diff", report, trace_file) == 2
+    assert run_cli("diff", trace_file, report) == 2
+    assert run_cli("diff", report, metrics) == 2
+    assert "give two reports" in capsys.readouterr().err
+
+
 def test_missing_file_is_graceful(tmp_path, capsys):
     assert run_cli("summarize", tmp_path / "nope.json") == 2
-    assert "repro-trace:" in capsys.readouterr().err
+    assert "repro-explain:" in capsys.readouterr().err

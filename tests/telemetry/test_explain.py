@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignEngine, CampaignSpec
+from repro.campaign import CampaignEngine, CampaignSpec, RunSpec
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import Machine
 from repro.telemetry import Telemetry
 from repro.telemetry.chrome import write_chrome_trace
-from repro.telemetry.cli import main as trace_main
 from repro.telemetry.explain import build_html, build_report, main, waterfall
 from repro.telemetry.lifecycle import MessageSpan
 
@@ -149,9 +148,36 @@ def test_cli_diff_gates_on_blame_drift(tmp_path, capsys):
 
 def test_cli_rejects_non_report_files(tmp_path):
     bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"not": "a report"}))
+    bogus.write_text(json.dumps(["not", "a report"]))
     assert main(["diff", str(bogus), str(bogus)]) == 2
     assert main(["diff", str(tmp_path / "missing.json"), str(bogus)]) == 2
+
+
+def test_cli_run_rejects_non_finite_app_args(tmp_path, capsys):
+    """``--arg size=inf`` fails at the boundary with the named error that
+    campaigns and ``POST /v1/runs`` give (exit 2), not with an
+    ``OverflowError`` from ``campaign.programs._build_pingpong``."""
+    out = tmp_path / "inf.json"
+    assert main(["run", "--arg", "size=inf", "-o", str(out)]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert main(["run", "--arg", "size=nan", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_run_is_labelled_and_canonicalized_like_a_campaign_run(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["run", "--network", "elan", "--arg", "size=256.0",
+            "--arg", "repetitions=2", "-o", str(out)]
+    assert main(argv) == 0
+    spec = RunSpec(
+        app="pingpong",
+        network="elan",
+        nodes=2,
+        app_args=(("size", 256), ("repetitions", 2)),
+    )
+    label = json.loads(out.read_text())["label"]
+    assert label == spec.label()
+    assert label == "pingpong(repetitions=2,size=256) elan 2n x1ppn seed=0"
 
 
 def test_cli_same_seed_reports_are_byte_identical(tmp_path):
@@ -229,7 +255,7 @@ def test_chrome_trace_carries_lifecycle_and_series_events(tmp_path):
     assert "dropped" in trace["otherData"]
 
     # The summarize CLI digests the same file, histograms included.
-    assert trace_main(["summarize", str(path), "--top", "5", "--phase"]) == 0
+    assert main(["summarize", str(path), "--top", "5", "--phase"]) == 0
 
 
 def test_trace_summarize_top_and_phase_output(tmp_path, capsys):
@@ -242,7 +268,7 @@ def test_trace_summarize_top_and_phase_output(tmp_path, capsys):
     machine.run(pingpong_program(size=256, repetitions=2))
     path = tmp_path / "trace.json"
     write_chrome_trace(path, machine.sim, label="t")
-    assert trace_main(["summarize", str(path), "--top", "3", "--phase"]) == 0
+    assert main(["summarize", str(path), "--top", "3", "--phase"]) == 0
     out = capsys.readouterr().out
     assert "slowest 3 spans:" in out
     assert "phase histogram:" in out
