@@ -27,7 +27,7 @@ expression: dict/list/set/tuple displays, comprehensions, f-strings,
 ``lambda``/nested ``def`` (closure construction), and ``dict()`` /
 ``list()`` / ``set()`` builtin calls.
 
-The kernel keeps a handful of *sanctioned* allocations — the heap-entry
+The kernel keeps a handful of *sanctioned* allocations — the schedule-entry
 tuple, each event's callback list, the waiter pair, the sanitizer key
 stamp — each carrying an
 inline ``# repro-lint: disable=RPR022`` with its justification; those

@@ -5,7 +5,7 @@ The linter parses each file once with :mod:`ast` (rules) and once with
 its line carries ``# repro-lint: disable=RPRnnn[, RPRmmm...]`` or
 ``# repro-lint: disable=all``.  Rule lists may be separated by commas
 with or without spaces, and trailing prose after the list is ignored
-(``# repro-lint: disable=RPR003, RPR007 -- sanctioned heap entry``).
+(``# repro-lint: disable=RPR003, RPR007 -- sanctioned schedule entry``).
 The whole-program passes (:mod:`repro.analysis.flow`) share this
 machinery and the one tag, so ``disable=all`` covers RPR001-RPR023.
 

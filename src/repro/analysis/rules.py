@@ -58,7 +58,7 @@ Rules are deliberately narrow: each pattern flagged is one a reviewer
 would reject on sight, so a finding is actionable and a clean tree can
 stay clean with an **empty baseline**.  Deliberate exceptions (the
 kernel's wall-clock watchdog, the RNG module's own ``default_rng``, the
-kernel's sanctioned heap-entry tuple) carry per-line
+kernel's sanctioned schedule-entry tuple) carry per-line
 ``# repro-lint: disable=RPRnnn`` suppressions.
 """
 

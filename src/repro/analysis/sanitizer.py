@@ -1,4 +1,4 @@
-"""Opt-in runtime sanitizer: same-time event races and heap-order audit.
+"""Opt-in runtime sanitizer: same-time event races and pop-order audit.
 
 The kernel guarantees that same-time events fire in schedule order via a
 monotone sequence number — every run with the same seed is bit-identical.
@@ -23,8 +23,8 @@ Whenever two or more events fire at the same timestamp against the same
 * any key missing (``None``) or duplicated — the pair is a **race**:
   both events are reported via ``Event.describe``.
 
-The sanitizer is strictly observational: it never perturbs the heap or
-the clock, so enabling it cannot change simulated results (pinned by a
+The sanitizer is strictly observational: it never perturbs the schedule
+or the clock, so enabling it cannot change simulated results (pinned by a
 byte-identical-report test).  It also audits the kernel's own contract
 that pops arrive in nondecreasing ``(time, seq)`` order.
 
@@ -67,7 +67,7 @@ class RaceFinding:
 
 @dataclass
 class OrderViolation:
-    """A heap pop that went backwards — a kernel bug, not a model bug."""
+    """A pop that went backwards — a kernel bug, not a model bug."""
 
     previous: Tuple[float, int]
     current: Tuple[float, int]

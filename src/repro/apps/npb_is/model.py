@@ -10,12 +10,13 @@ the variable-size exchange path none of the other skeletons touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ...errors import ConfigurationError
 from ...mpi import MpiRank
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ def _bucket_volumes(
     distribution (keys are partitioned by value range), skewed away from
     uniform by ``config.skew``.
     """
+    import numpy as np
+
     keys_per_proc = config.total_keys // nprocs
     if config.skew == 0.0:
         share = np.full(nprocs, 1.0 / nprocs)
@@ -77,6 +80,8 @@ def is_program(config: IsConfig):
     """Program factory; each rank returns its ranking-loop wall time."""
 
     def program(mpi: MpiRank) -> Generator[Any, Any, float]:
+        import numpy as np
+
         p = mpi.size
         keys_per_proc = config.total_keys // p
         rank_time = keys_per_proc * config.rank_us_per_key

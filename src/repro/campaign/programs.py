@@ -38,6 +38,20 @@ from ..errors import ConfigurationError
 from ..microbench.pingpong import default_repetitions, pingpong_program
 
 
+def _int_arg(name: str, value: Any) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``), else a named error.
+
+    A bare ``int()`` would bend ``1.5`` or ``true`` into a valid size and
+    run it under a key of its own.  :class:`~.spec.RunSpec` already turns
+    integral floats into ints, so no valid spec is refused here.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"app argument {name} must be an integer, got {value!r}"
+        )
+    return value
+
+
 def _configured(factory: Callable, presets: Dict[str, Any], default: str):
     """App builder: pick a preset config by name, apply field overrides."""
 
@@ -72,7 +86,9 @@ def _build_sweep3d(args: Dict[str, Any]) -> Callable:
         raise ConfigurationError(
             f"unknown config {name!r}; expected 'sweep150'"
         )
-    base = SWEEP150 if name else Sweep3dConfig(n=int(args.pop("n", SWEEP150.n)))
+    if "n" in args:
+        _int_arg("n", args["n"])
+    base = SWEEP150 if name else Sweep3dConfig(n=args.pop("n", SWEEP150.n))
     if args:
         valid = {f.name for f in dataclasses.fields(base)}
         bad = set(args) - valid
@@ -87,7 +103,7 @@ def _build_sweep3d(args: Dict[str, Any]) -> Callable:
 
 def _build_pingpong(args: Dict[str, Any]) -> Callable:
     args = dict(args)
-    size = int(args.pop("size", 0))
+    size = _int_arg("size", args.pop("size", 0))
     reps = args.pop("repetitions", None)
     warmup = args.pop("warmup", None)
     if args:
@@ -95,9 +111,13 @@ def _build_pingpong(args: Dict[str, Any]) -> Callable:
             f"unknown app arguments {sorted(args)}; "
             "valid: size, repetitions, warmup"
         )
-    reps = int(reps) if reps is not None else default_repetitions(size)
+    reps = (
+        _int_arg("repetitions", reps)
+        if reps is not None
+        else default_repetitions(size)
+    )
     if warmup is not None:
-        return pingpong_program(size, reps, warmup=int(warmup))
+        return pingpong_program(size, reps, warmup=_int_arg("warmup", warmup))
     return pingpong_program(size, reps)
 
 

@@ -80,6 +80,8 @@ def pingpong_program(
         raise ConfigurationError(f"negative message size: {size}")
     if repetitions < 1:
         raise ConfigurationError("need at least one repetition")
+    if warmup < 0:
+        raise ConfigurationError(f"negative warmup count: {warmup}")
 
     def program(mpi: MpiRank) -> Generator[Any, Any, Optional[float]]:
         if mpi.size < 2:

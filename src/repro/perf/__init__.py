@@ -6,8 +6,8 @@ one observes the simulator itself.  It answers two questions:
 * **Where does kernel wall-time go?**  :class:`KernelProfiler` is a
   :class:`~repro.sim.Simulator` loop observer that attributes wall-clock
   time, event counts and allocation deltas per event type and per
-  process class, plus kernel-mechanics tallies (heap ops, callback
-  dispatch, generator resumptions).  :class:`StackSampler` captures
+  process class, plus kernel-mechanics tallies (events scheduled and
+  popped, callback dispatch, generator resumptions).  :class:`StackSampler` captures
   periodic Python stacks; the repo benchmark's traced pass
   (``perfbench --trace 1``) builds its per-layer wall shares from both.
 * **How fast is the simulator, over time?**  :func:`run_ladder` times a

@@ -5,9 +5,10 @@
 kernel calls it through the one observer protocol: ``on_run_enter`` and
 ``on_run_exit`` around each ``run()``, and ``on_pop`` once per event,
 before the event fires.  Each event is timed from its pop to the next
-pop (or to the run's exit), and heap pushes are read from the growth of
-the kernel's sequence number, which every push already bumps — so the
-kernel carries no profiler check of its own.  With no observer attached
+pop (or to the run's exit), and scheduled events are counted from the
+growth of the kernel's sequence number, which every scheduled event
+already bumps on either queue (ready queue or time heap) — so the kernel
+carries no profiler check of its own.  With no observer attached
 (the default) the run takes the kernel's bare loop and nothing here
 executes; results are byte-identical either way because the profiler
 only ever *reads* the wall clock, never the simulation.
@@ -22,7 +23,9 @@ Attribution axes:
   one ``rank`` row: count, wall seconds (an event resuming two
   processes credits its whole duration to both — blame, not a
   partition);
-* **kernel mechanics** — heap pushes/pops, callbacks dispatched,
+* **kernel mechanics** — events scheduled and popped (``heap_pushes``
+  and ``heap_pops``, names kept from when every event went through the
+  heap; the repo benchmark reads ``heap_pushes``), callbacks dispatched,
   generator resumptions: the raw-operation denominators the speed
   overhaul needs.
 
@@ -97,9 +100,11 @@ class KernelProfiler:
         self.allocations = allocations
         self.by_event_type: Dict[str, _TypeStats] = {}
         self.by_process_class: Dict[str, _TypeStats] = {}
-        #: Kernel-mechanics counters.  ``heap_pushes`` counts every push
-        #: since each profiled simulator was built, read from its
-        #: sequence number at each run's exit.
+        #: Kernel-mechanics counters.  ``heap_pushes`` counts every
+        #: scheduled event, on the ready queue or the time heap, since
+        #: each profiled simulator was built, read from its sequence
+        #: number at each run's exit; ``heap_pops`` counts every pop
+        #: from either queue.
         self.heap_pushes = 0
         self.heap_pops = 0
         self.callbacks_dispatched = 0
@@ -110,7 +115,8 @@ class KernelProfiler:
         #: included), accumulated across calls.
         self.loop_wall_s = 0.0
         self._loop_t0 = 0.0
-        #: The simulator last run and its push count at that run's exit.
+        #: The simulator last run and its sequence number at that run's
+        #: exit.
         self._sim: Optional["Simulator"] = None
         self._seq_seen = 0
         #: The event in flight: its type row and the process-class rows
@@ -160,7 +166,8 @@ class KernelProfiler:
         self._t0 = now_s
 
     def on_run_exit(self, sim: "Simulator") -> None:
-        """Close the last event, stop the loop clock, count the pushes."""
+        """Close the last event, stop the loop clock, count the events
+        scheduled since the last exit."""
         now_s = _clock()
         self._close(now_s)
         self.loop_wall_s += now_s - self._loop_t0

@@ -1,6 +1,6 @@
 """The discrete-event simulator core.
 
-:class:`Simulator` owns the event heap and the clock.  Time is a float in
+:class:`Simulator` owns the schedule and the clock.  Time is a float in
 microseconds (see :mod:`repro.units`).  Determinism guarantees:
 
 * same-time events fire in schedule order (a monotone sequence number breaks
@@ -8,7 +8,18 @@ microseconds (see :mod:`repro.units`).  Determinism guarantees:
 * all randomness flows through named :class:`~repro.sim.rng.RngStreams`, so
   two runs with the same seed are bit-identical.
 
-A run ends when the heap drains.  Crashed processes abort the run unless
+The schedule is two queues holding the same ``(time, seq, event)``
+entries.  An event due now — ``now + delay == now``, so a delay below
+half an ulp of ``now`` counts — goes on the FIFO *ready queue*; only a
+later one pays for the time heap.  When the ready queue runs dry the
+clock advances to the heap top, and every other entry due at that time
+moves onto the ready queue before the top fires.  Every heap entry due
+at a time was pushed before the clock reached it, so its ``seq`` is
+below that of anything scheduled once the clock is there: events still
+fire in exact ``(time, seq)`` order, and the heap only ever holds
+entries later than ``now``.
+
+A run ends when the schedule drains.  Crashed processes abort the run unless
 someone explicitly joins them — silent process death is how protocol bugs
 hide.
 
@@ -16,8 +27,8 @@ The kernel is hardened for unattended campaign use: ``run()`` takes an
 event budget and a wall-clock limit, and breaching either raises
 :class:`~repro.errors.WatchdogError` carrying a roster of the live
 processes and what each was blocked on — the same roster
-:class:`~repro.errors.DeadlockError` reports when the heap drains with
-processes still waiting.
+:class:`~repro.errors.DeadlockError` reports when the schedule drains
+with processes still waiting.
 
 Tools that watch the loop (the race sanitizer, the kernel profiler)
 are *observers*: objects in the simulator's one ``observers`` list,
@@ -29,8 +40,10 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import deque
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Protocol, Tuple,
+    TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Protocol,
+    Tuple,
 )
 
 from ..errors import SimulationError, WatchdogError
@@ -54,7 +67,7 @@ class Observer(Protocol):
 
     ``on_run_enter``/``on_run_exit`` bracket every :meth:`Simulator.run`
     call (exit also runs when the run raises); ``on_pop`` sees each
-    event after it leaves the heap and before its callbacks run.
+    event after it leaves the schedule and before its callbacks run.
     """
 
     def on_run_enter(self, sim: "Simulator") -> None: ...
@@ -74,9 +87,13 @@ class Simulator:
         observers: Iterable[Observer] = (),
     ) -> None:
         self._now = 0.0
+        #: Entries due later than ``now``, a heap on ``(time, seq)``.
         self._heap: List[Tuple[float, int, Event]] = []
-        #: Same-time tiebreak, bumped once per scheduled event; the
-        #: kernel profiler reads its growth as the heap-push count.
+        #: Entries due at ``now``, in ``seq`` order (see the module doc).
+        self._ready: Deque[Tuple[float, int, Event]] = deque()
+        #: Same-time tiebreak, bumped once per scheduled event on
+        #: either queue; the kernel profiler reads its growth as the
+        #: count of scheduled events.
         self._seq = 0
         self._running = False
         self.rng = RngStreams(seed)
@@ -125,8 +142,14 @@ class Simulator:
     # -- event plumbing ----------------------------------------------------
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
+        now = self._now
+        at = now + delay
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        entry = (at, self._seq, event)  # repro-lint: disable=RPR022 -- the schedule entry is the kernel's one sanctioned per-event tuple
+        if at == now:
+            self._ready.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     def _process_crashed(self, proc: Process, exc: BaseException) -> None:
         self._crashed.append((proc, exc))
@@ -167,14 +190,8 @@ class Simulator:
         """
         proc = Process(self, generator, name=name)
         if not daemon:
-            self._live[proc] = None
-            proc.callbacks.append(self._process_done)
+            self._live[proc] = None  # a finishing process removes itself
         return proc
-
-    def _process_done(self, ev: Event) -> None:
-        # The fired event *is* the process (a Process is its own
-        # completion event).
-        self._live.pop(ev, None)  # type: ignore[arg-type]
 
     # -- introspection ------------------------------------------------------
 
@@ -194,8 +211,9 @@ class Simulator:
         return [(p.name, p.waiting_description()) for p in self._live]
 
     def pending_events(self) -> int:
-        """Heap size; useful for tests asserting quiescence."""
-        return len(self._heap)
+        """Scheduled events not yet fired; useful for tests asserting
+        quiescence."""
+        return len(self._heap) + len(self._ready)
 
     # -- main loop ----------------------------------------------------------
 
@@ -204,7 +222,7 @@ class Simulator:
         max_events: Optional[int] = None,
         wall_limit_s: Optional[float] = None,
     ) -> float:
-        """Run until the heap drains; returns the clock at that point.
+        """Run until the schedule drains; returns the clock at that point.
 
         Raises the original exception of any crashed, un-joined process.
 
@@ -237,11 +255,13 @@ class Simulator:
             if wall_limit_s is not None
             else None
         )
+        heap = self._heap
+        ready = self._ready
         observers = self.observers
         for observer in observers:
             observer.on_run_enter(self)
         try:
-            while self._heap:
+            while ready or heap:
                 if self._crashed:
                     self._raise_crash()
                 if budget is not None:
@@ -262,11 +282,16 @@ class Simulator:
                         roster=self.blocked_roster(),
                         sim_time=self._now,
                     )
-                t, _seq, event = heapq.heappop(self._heap)
-                self._now = t
+                if ready:
+                    t, seq, event = ready.popleft()
+                else:
+                    t, seq, event = heapq.heappop(heap)
+                    self._now = t
+                    while heap and heap[0][0] == t:
+                        ready.append(heapq.heappop(heap))
                 self.events_processed += 1
                 for observer in observers:
-                    observer.on_pop(t, _seq, event)
+                    observer.on_pop(t, seq, event)
                 event._fire()
             if self._crashed:
                 self._raise_crash()
@@ -286,15 +311,25 @@ class Simulator:
         """
         self._running = True
         heap = self._heap
+        ready = self._ready
         crashed = self._crashed
         pop = heapq.heappop
+        popleft = ready.popleft
+        append = ready.append
         fired = 0
         try:
             if crashed:
                 self._raise_crash()
-            while heap:
-                t, _seq, event = pop(heap)
-                self._now = t
+            while True:
+                if ready:
+                    _t, _seq, event = popleft()
+                elif heap:
+                    t, _seq, event = pop(heap)
+                    self._now = t
+                    while heap and heap[0][0] == t:
+                        append(pop(heap))
+                else:
+                    break
                 fired += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for cb in callbacks:
@@ -314,7 +349,7 @@ class Simulator:
         """Run to quiescence and verify no process is left blocked.
 
         Raises :class:`~repro.errors.DeadlockError` if live processes remain
-        after the heap drains — the standard way integration tests catch
+        after the schedule drains — the standard way integration tests catch
         protocol deadlocks (e.g. a rendezvous CTS that never arrives).  The
         error names each blocked process and what it was waiting on.
         Watchdog limits are forwarded to :meth:`run`.

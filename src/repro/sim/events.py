@@ -7,6 +7,8 @@ the ``yield``) or an exception (re-raised inside the waiting process).
 Events deliberately mirror the SimPy design — triggering does not run
 callbacks synchronously, it schedules them at the current simulation time so
 that all same-time activity is ordered by a deterministic sequence number.
+An event due now goes on the simulator's ready queue, a later one on its
+time heap (see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -83,11 +85,11 @@ class Event:
         if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("event triggered twice")
         self._value = value
-        # Simulator._schedule_event inlined (zero delay): the hottest
-        # push in the kernel.
+        # Simulator._schedule_event inlined (zero delay, so the ready
+        # queue): the hottest push in the kernel.
         sim = self.sim
         sim._seq += 1
-        heappush(sim._heap, (sim._now, sim._seq, self))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        sim._ready.append((sim._now, sim._seq, self))  # repro-lint: disable=RPR022 -- the schedule entry is the kernel's one sanctioned per-event tuple
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -167,7 +169,7 @@ class Timeout(Event):
     """Event that fires ``delay`` microseconds after creation.
 
     ``delay`` must be finite and non-negative: a NaN delay would put a
-    NaN time on the heap and run the clock backwards.
+    NaN time in the schedule and run the clock backwards.
     """
 
     __slots__ = ("delay",)
@@ -185,8 +187,14 @@ class Timeout(Event):
         self._exception = None
         self.key = None
         self.delay = delay
+        now = sim._now
+        at = now + delay
         sim._seq += 1
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+        entry = (at, sim._seq, self)  # repro-lint: disable=RPR022 -- the schedule entry is the kernel's one sanctioned per-event tuple
+        if at == now:
+            sim._ready.append(entry)
+        else:
+            heappush(sim._heap, entry)
 
     def describe(self) -> str:
         return f"Timeout({self.delay:g}us)"

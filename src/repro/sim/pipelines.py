@@ -205,7 +205,8 @@ def _extend_names(n: int) -> None:
 def _fire_after(
     sim: "Simulator", delay: float, gate: Event, value: Any
 ) -> Generator[Event, Any, None]:
-    # A zero delay still yields once, so the gate fires from the heap.
+    # A zero delay still yields once, so the gate fires from the
+    # schedule (the ready queue), after every event already due now.
     yield Timeout(sim, delay)
     gate.succeed(value)
 

@@ -53,12 +53,16 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        # Kick off at the current simulation time.  The bound method is
-        # built per wait, never stored on the process: a stored one would
-        # make every process a reference cycle for the cyclic GC.
+        # Kick off at the current simulation time: the start event's
+        # ``succeed(None)`` inlined onto the ready queue.  The bound
+        # method is built per wait, never stored on the process: a
+        # stored one would make every process a reference cycle for the
+        # cyclic GC.
         start = Event(sim)
         start.callbacks.append(self._resume)
-        start.succeed(None)
+        start._value = None
+        sim._seq += 1
+        sim._ready.append((sim._now, sim._seq, start))  # repro-lint: disable=RPR022 -- the schedule entry is the kernel's one sanctioned per-event tuple
 
     @property
     def is_alive(self) -> bool:
@@ -87,20 +91,18 @@ class Process(Event):
             else:
                 target = self.generator.send(ev._value)
         except StopIteration as stop:
+            self.sim._live.pop(self, None)
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - deliberate fail-fast
-            self.sim._process_crashed(self, exc)
-            self.fail(exc)
+            self._crash(exc)
             return
         if not isinstance(target, Event):
-            exc2 = SimulationError(
+            self.generator.close()
+            self._crash(SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "  # repro-lint: disable=RPR022 -- crash path: a bad yield ends the process
                 "yield Event/Process objects (use sim.timeout(dt) to sleep)"
-            )
-            self.generator.close()
-            self.sim._process_crashed(self, exc2)
-            self.fail(exc2)
+            ))
             return
         self._waiting_on = target
         callbacks = target.callbacks
@@ -108,6 +110,14 @@ class Process(Event):
             callbacks.append(self._resume)
         else:
             target.add_callback(self._resume)
+
+    def _crash(self, exc: BaseException) -> None:
+        """End the process with ``exc``: it leaves the live set, the
+        kernel records the crash and the completion event fails."""
+        sim = self.sim
+        sim._live.pop(self, None)
+        sim._process_crashed(self, exc)
+        self.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

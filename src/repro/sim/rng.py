@@ -5,14 +5,18 @@ patterns, load-imbalance noise) draws from a *named stream* derived from one
 master seed.  Stream independence means adding a new consumer of randomness
 does not perturb existing experiments — a property the calibration tests
 rely on.
+
+numpy is imported where the first generator is created, not with the
+module: a run that draws nothing (a ping-pong, say) never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def _derive_seed(master: int, name: str) -> int:
@@ -40,6 +44,8 @@ class RngStreams:
         """The generator for ``name``, created on first use."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             # The one sanctioned numpy RNG entry point: every stream is
             # derived from the master seed here.
             gen = np.random.default_rng(  # repro-lint: disable=RPR001

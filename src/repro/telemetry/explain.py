@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
+from ..faults.recovery import root_fault
 from ..version import __version__
 from .chrome import load_trace
 from .collect import Telemetry
@@ -592,7 +593,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ReproError, ValueError, OSError) as exc:
-        print(f"repro-explain: {exc}", file=sys.stderr)
+        # A crashed rank surfaces as "process X crashed"; name the deeper
+        # fault too, as execute_run's error_cause does.
+        cause = root_fault(exc)
+        tail = (
+            f" (cause: {type(cause).__name__}: {cause})"
+            if cause is not None and cause is not exc
+            else ""
+        )
+        print(f"repro-explain: {exc}{tail}", file=sys.stderr)
         return 2
 
 

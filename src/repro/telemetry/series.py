@@ -2,7 +2,7 @@
 
 The simulator's clock only advances at events, so a wall-clock-style
 polling sampler is impossible (and a periodic wakeup process would stop
-``run_all`` from ever draining its heap).  Instead each observed value —
+``run_all`` from ever draining its schedule).  Instead each observed value —
 a resource's in-use count, a store's depth, credits outstanding, the
 registration cache's pinned bytes — is a *channel* recording
 change-driven ``(time, value)`` points, and :meth:`SeriesBank.sampled`

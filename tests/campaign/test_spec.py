@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campaign import CampaignSpec, RunSpec, build_program, study_runspecs
+from repro.campaign.runner import execute_run
 from repro.errors import ConfigurationError
 
 
@@ -190,6 +191,43 @@ def test_build_program_registry():
         build_program("lammps", {"config": "ljs", "bogus": 1})
     with pytest.raises(ConfigurationError):
         build_program("pingpong", {"size": 8, "bogus": 1})
+    assert callable(build_program("pingpong", {"size": 0, "warmup": 0}))
+
+
+@pytest.mark.parametrize("app,args", [
+    ("pingpong", {"size": 1.5}),
+    ("pingpong", {"size": True}),
+    ("pingpong", {"size": "8"}),
+    ("pingpong", {"size": 8, "repetitions": 2.5}),
+    ("pingpong", {"size": 8, "warmup": False}),
+    ("pingpong", {"size": 8, "warmup": -5}),
+    ("sweep3d", {"n": 8.5}),
+    ("sweep3d", {"config": "sweep150", "n": 8.5}),
+])
+def test_app_arguments_are_not_bent(app, args):
+    # A bare int() ran size=1.5 and size=true as the 1-byte ping-pong
+    # under keys of their own, and Sweep3D n=8.5 as n=8.
+    with pytest.raises(ConfigurationError):
+        build_program(app, args)
+    spec = RunSpec.from_dict(
+        {"app": app, "network": "ib", "nodes": 2, "app_args": args}
+    )
+    record = execute_run(spec)
+    assert record["status"] == "error"
+    assert record["error_type"] == "ConfigurationError"
+
+
+def test_integral_float_app_argument_keeps_its_key_and_value():
+    spec = RunSpec.from_dict(
+        {"app": "pingpong", "network": "ib", "nodes": 2,
+         "app_args": {"size": 64.0, "repetitions": 2.0}}
+    )
+    same = RunSpec.from_dict(
+        {"app": "pingpong", "network": "ib", "nodes": 2,
+         "app_args": {"size": 64, "repetitions": 2}}
+    )
+    assert spec.key == same.key
+    assert execute_run(spec)["value"] == execute_run(same)["value"]
 
 
 # -- key canonicalization (semantically identical specs, one cache key) ------

@@ -1,7 +1,13 @@
 """Unit tests for named RNG streams."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim import RngStreams
 
 
@@ -69,3 +75,29 @@ def test_adding_stream_does_not_perturb_existing():
     r2.stream("other")  # created first this time
     second = r2.stream("app").random()
     assert first == second
+
+
+def test_first_gamma_draw_is_unchanged():
+    # Values drawn before numpy's import moved into ``stream``: seed
+    # derivation and the draws themselves must not move with it.
+    assert RngStreams(7).stream("compute.r3").gamma(4.0, 0.5) == 0.9267370932307277
+    assert RngStreams(7).jitter("compute.r3", 10.0, 0.1) == 8.845069794626957
+
+
+def test_drawless_run_never_imports_numpy():
+    # A 2-node ping-pong draws nothing, so neither ``import repro`` nor
+    # the run may load numpy (set-up time and resident memory).
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.mpi import Machine\n"
+        "from repro.microbench import pingpong_program\n"
+        "Machine('ib', 2, seed=0).run(pingpong_program(64, 2))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

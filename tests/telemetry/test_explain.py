@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignSpec, RunSpec
+from repro.campaign.runner import execute_run
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import Machine
 from repro.telemetry import Telemetry
@@ -161,6 +162,20 @@ def test_cli_run_rejects_non_finite_app_args(tmp_path, capsys):
     assert main(["run", "--arg", "size=inf", "-o", str(out)]) == 2
     assert "is not a finite number" in capsys.readouterr().err
     assert main(["run", "--arg", "size=nan", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_run_names_the_cause_of_a_crashed_rank(tmp_path, capsys):
+    """A one-rank ping-pong crashes rank 0; besides the surfaced crash the
+    CLI names the fault behind it, the ``error_cause`` that
+    ``execute_run`` records for the same spec (exit 2)."""
+    out = tmp_path / "one.json"
+    assert main(["run", "--nodes", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "process 'rank0' crashed" in err
+    assert "(cause: ConfigurationError: ping-pong needs two ranks)" in err
+    record = execute_run(RunSpec(app="pingpong", network="ib", nodes=1))
+    assert f"(cause: {record['error_cause']})" in err
     assert not out.exists()
 
 
