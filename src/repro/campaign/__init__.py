@@ -4,9 +4,10 @@ The campaign engine turns the package's deterministic simulator into a
 batch facility: declare a sweep once (:class:`CampaignSpec` or a
 declarative :class:`~repro.core.study.ScalingStudy`), and the
 :class:`CampaignEngine` executes it across a worker pool, memoizes every
-run in a content-addressed disk cache keyed on spec + package version,
-and journals completions to JSONL so interrupted campaigns resume where
-they stopped.  Parallel results are bit-identical to serial ones.
+run in a content-addressed disk cache keyed on spec + package version
+the moment it completes, so interrupted campaigns resume where they
+stopped, and journals completions to JSONL.  Parallel results are
+bit-identical to serial ones.
 
 Quickstart::
 

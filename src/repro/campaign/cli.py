@@ -2,7 +2,8 @@
 
 ``run`` executes a campaign described by a JSON spec file (see
 EXPERIMENTS.md for the format), ``status`` summarizes a campaign root's
-journal and cache, and ``clean`` deletes the cached results and journal.
+journal and cache, and ``clean`` deletes the cached results, the
+journals and the job store.
 
 Example spec file::
 
@@ -28,7 +29,7 @@ from .cache import ResultCache
 from .chaos import ChaosStudy
 from .engine import DEFAULT_ROOT, CampaignEngine
 from .journal import Journal
-from .scheduler import scheduler_status
+from .scheduler import JobStore, scheduler_status
 from .spec import CampaignSpec
 
 
@@ -45,8 +46,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     engine = CampaignEngine(
         root=args.root,
         workers=args.workers,
-        use_cache=not args.no_cache,
-        resume=not args.force,
         trace=args.trace,
         echo=None if args.quiet else (lambda m: print(m, file=sys.stderr)),
         timeout_s=args.timeout,
@@ -249,13 +248,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_clean(args: argparse.Namespace) -> int:
-    cache = ResultCache(f"{args.root}/cache")
-    journal = Journal(f"{args.root}/journal.jsonl")
-    quarantine = Journal(f"{args.root}/quarantine.jsonl")
-    removed = cache.clear()
-    journal.clear()
-    quarantine.clear()
-    print(f"removed {removed} cache entries and the journals from {args.root}")
+    removed = ResultCache(f"{args.root}/cache").clear()
+    Journal(f"{args.root}/journal.jsonl").clear()
+    Journal(f"{args.root}/quarantine.jsonl").clear()
+    JobStore(f"{args.root}/jobs.jsonl").clear()
+    print(
+        f"removed {removed} cache entries, the journals and the job store "
+        f"from {args.root}"
+    )
     return 0
 
 
@@ -277,12 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 = one per CPU; default 1 = serial)",
     )
     run.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    run.add_argument(
         "--force",
         action="store_true",
-        help="re-execute every run, ignoring cache and journal",
+        help="re-execute every run, ignoring the cache",
     )
     run.add_argument(
         "--trace",
@@ -429,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.set_defaults(func=cmd_status)
 
-    clean = sub.add_parser("clean", help="delete cached results and journal")
+    clean = sub.add_parser(
+        "clean", help="delete cached results, the journals and the job store"
+    )
     _add_root(clean)
     clean.set_defaults(func=cmd_clean)
     return parser

@@ -1,20 +1,19 @@
 """The campaign engine: cached, parallel, resumable sweep execution.
 
-The engine resolves each :class:`~.spec.RunSpec` in three tiers:
+The engine resolves each :class:`~.spec.RunSpec` in two tiers:
 
 1. **cache** — a content-addressed record from any earlier campaign;
-2. **journal** — a completed line from this campaign root's journal
-   (covers cache-disabled runs and interrupted campaigns);
-3. **run** — execute on a fresh simulated machine, serially or on a
+2. **run** — execute on a fresh simulated machine, serially or on a
    :mod:`multiprocessing` worker pool.
 
 The simulator is deterministic per seed, so tier choice and worker
 count never change a record's payload — parallel campaigns are
 bit-identical to serial ones, and re-running an identical campaign is a
 pure cache replay.  Duplicate points are collapsed before execution and
-every completion is journaled immediately, which is what makes a
-half-finished campaign resumable with no bookkeeping beyond the JSONL
-file.
+every successful run is cached the moment it completes, so a
+half-finished campaign resumes from the cache with no bookkeeping of its
+own.  The JSONL journal beside the cache records every completion for
+``repro-campaign status``; no answer is read from it.
 
 Execution itself lives in :class:`~.scheduler.JobScheduler`: the engine
 builds one per invocation, submits every spec, and waits.  The
@@ -64,7 +63,7 @@ class CampaignResult:
     """Outcome of one engine invocation, records in request order."""
 
     records: List[Dict[str, Any]]
-    #: Runs served from the cache or the journal (not re-simulated).
+    #: Runs served from the cache (not re-simulated).
     hits: int
     #: Runs actually executed this invocation.
     misses: int
@@ -73,7 +72,7 @@ class CampaignResult:
     #: Wall-clock time of the whole invocation, seconds.
     wall_s: float
     name: str = ""
-    #: Tier tallies: {"cache": n, "journal": n, "run": n}.
+    #: Tier tallies: {"cache": n, "run": n}.
     sources: Dict[str, int] = field(default_factory=dict)
     #: Runs that exhausted their retry budget and were quarantined.
     quarantined: int = 0
@@ -116,8 +115,6 @@ class CampaignEngine:
         self,
         root=DEFAULT_ROOT,
         workers: int = 1,
-        use_cache: bool = True,
-        resume: bool = True,
         trace: bool = False,
         echo: Optional[Callable[[str], None]] = None,
         timeout_s: Optional[float] = None,
@@ -134,8 +131,6 @@ class CampaignEngine:
             raise ConfigurationError("retry_backoff_s cannot be negative")
         self.root = Path(root)
         self.workers = resolve_workers(workers)
-        self.use_cache = use_cache
-        self.resume = resume
         self.trace = trace
         self.echo = echo
         #: Per-run wall-clock budget, armed as the simulator watchdog.
@@ -177,7 +172,6 @@ class CampaignEngine:
             journal=self.journal,
             quarantine=self.quarantine,
             workers=self.workers,
-            use_cache=self.use_cache,
             trace=self.trace,
             timeout_s=self.timeout_s,
             max_events=self.max_events,
@@ -193,27 +187,25 @@ class CampaignEngine:
     ) -> CampaignResult:
         """Execute a run list; records come back in request order.
 
-        ``force`` bypasses both reuse tiers and re-simulates everything
+        ``force`` bypasses the cache and re-simulates everything
         (results still land in the cache and journal afterwards).
         """
         # Host wall time, not simulated time: the campaign reports how
         # long *it* took.
         t0 = time.perf_counter()  # repro-lint: disable=RPR001
         specs = list(specs)
-        journaled = {} if (force or not self.resume) else self.journal.completed()
-
         by_key: Dict[str, Dict[str, Any]] = {}
         jobs: Dict[str, Any] = {}
-        sources = {"cache": 0, "journal": 0, "run": 0}
+        sources = {"cache": 0, "run": 0}
         scheduler = self.scheduler()
         try:
             for spec in specs:
                 key = spec.key
                 if key in by_key or key in jobs:
                     continue  # duplicate point: one execution serves all
-                sub = scheduler.submit(spec, force=force, journaled=journaled)
+                sub = scheduler.submit(spec, force=force)
                 if sub.record is not None:
-                    sources[sub.source] += 1
+                    sources["cache"] += 1
                     by_key[key] = sub.record
                 else:
                     # "coalesced" can't happen here (duplicates are
@@ -227,10 +219,9 @@ class CampaignEngine:
             scheduler.close()
 
         records = [by_key[spec.key] for spec in specs]
-        hits = sources["cache"] + sources["journal"]
         return CampaignResult(
             records=records,
-            hits=hits,
+            hits=sources["cache"],
             misses=sources["run"],
             errors=scheduler.stats["quarantined"],
             wall_s=time.perf_counter() - t0,  # repro-lint: disable=RPR001

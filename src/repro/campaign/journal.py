@@ -1,11 +1,12 @@
-"""JSONL run journal: the campaign's observability and resume surface.
+"""JSONL run journal: the campaign's observability log.
 
 Every finished run — executed, cache-served, or failed — appends one
-JSON line with its key, status, value and timing.  Because lines are
-appended and flushed as they complete, a campaign killed mid-flight
-leaves a valid prefix: on restart, :meth:`Journal.completed` replays the
-successful lines and the engine skips straight to the unfinished tail.
-A torn final line (the kill landed mid-write) is ignored, not fatal.
+JSON line with its key, status, value and timing; ``repro-campaign
+status`` summarizes it.  No answer is read from the journal: a
+campaign killed mid-flight resumes from the result cache, which holds
+every successful run the moment it completes.  Lines are appended and
+flushed as they complete, and a torn final line (the kill landed
+mid-write) is skipped, not fatal.
 """
 
 from __future__ import annotations
@@ -42,18 +43,9 @@ class Journal:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                continue  # interrupted mid-write; the run will re-execute
+                continue  # interrupted mid-write
             if isinstance(record, dict):
                 yield record
-
-    def completed(self) -> Dict[str, Dict[str, Any]]:
-        """Latest successful record per run key (the resume set)."""
-        done: Dict[str, Dict[str, Any]] = {}
-        for record in self.entries():
-            key = record.get("key")
-            if key and record.get("status") == "ok":
-                done[key] = record
-        return done
 
     def tail(self, n: int = 10) -> List[Dict[str, Any]]:
         """The most recent n records."""

@@ -6,13 +6,15 @@ names its program declaratively: an ``app`` id plus JSON-scalar
 factories.  Every app accepts a ``config`` argument naming a canonical
 problem set plus per-field overrides applied with
 :func:`dataclasses.replace` — e.g. ``("lammps", {"config": "ljs",
-"steps": 2})`` is the LJS problem cut to two timesteps.
+"steps": 2})`` is the LJS problem cut to two timesteps.  An override
+must fit its field's type, so it is refused before a machine is built
+rather than bent into another value or left to crash a rank mid-run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, get_type_hints
 
 from ..apps import (
     CG_CLASS_A,
@@ -38,18 +40,51 @@ from ..errors import ConfigurationError
 from ..microbench.pingpong import default_repetitions, pingpong_program
 
 
-def _int_arg(name: str, value: Any) -> int:
-    """``value`` if it is an ``int`` (not a ``bool``), else a named error.
+#: Field type -> (the JSON value types it takes, their name in an error).
+_FIELD_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+    str: ((str,), "a string"),
+}
 
-    A bare ``int()`` would bend ``1.5`` or ``true`` into a valid size and
-    run it under a key of its own.  :class:`~.spec.RunSpec` already turns
-    integral floats into ints, so no valid spec is refused here.
+
+def _typed(name: str, value: Any, kind: type = int) -> Any:
+    """``value`` if it fits an argument of type ``kind``, else a named
+    :class:`~repro.errors.ConfigurationError`.
+
+    A bare ``int()``, or :func:`dataclasses.replace` with no check, would
+    run ``1.5`` or ``true`` as a valid count under a key of its own, or
+    crash a rank mid-run.  A bool is an ``int`` to Python, so only a bool
+    argument takes one.  :class:`~.spec.RunSpec` already turns integral
+    floats into ints, so no valid spec is refused here.
     """
-    if isinstance(value, bool) or not isinstance(value, int):
+    allowed, wanted = _FIELD_TYPES.get(kind, ((), kind.__name__))
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(
+        value, allowed
+    ):
         raise ConfigurationError(
-            f"app argument {name} must be an integer, got {value!r}"
+            f"app argument {name} must be {wanted}, got {value!r}"
         )
     return value
+
+
+def _override(config: Any, args: Dict[str, Any]) -> Any:
+    """``config`` with ``args`` applied, each checked against the type of
+    the field it sets."""
+    if not args:
+        return config
+    valid = {f.name for f in dataclasses.fields(config)}
+    bad = set(args) - valid
+    if bad:
+        raise ConfigurationError(
+            f"unknown app arguments {sorted(bad)}; "
+            f"valid fields: {sorted(valid)}"
+        )
+    types = get_type_hints(type(config))
+    for name, value in sorted(args.items()):
+        _typed(name, value, types[name])
+    return dataclasses.replace(config, **args)
 
 
 def _configured(factory: Callable, presets: Dict[str, Any], default: str):
@@ -62,17 +97,7 @@ def _configured(factory: Callable, presets: Dict[str, Any], default: str):
             raise ConfigurationError(
                 f"unknown config {name!r}; expected one of {sorted(presets)}"
             )
-        config = presets[name]
-        if args:
-            valid = {f.name for f in dataclasses.fields(config)}
-            bad = set(args) - valid
-            if bad:
-                raise ConfigurationError(
-                    f"unknown app arguments {sorted(bad)}; "
-                    f"valid fields: {sorted(valid)}"
-                )
-            config = dataclasses.replace(config, **args)
-        return factory(config)
+        return factory(_override(presets[name], args))
 
     return build
 
@@ -86,24 +111,16 @@ def _build_sweep3d(args: Dict[str, Any]) -> Callable:
         raise ConfigurationError(
             f"unknown config {name!r}; expected 'sweep150'"
         )
-    if "n" in args:
-        _int_arg("n", args["n"])
-    base = SWEEP150 if name else Sweep3dConfig(n=args.pop("n", SWEEP150.n))
-    if args:
-        valid = {f.name for f in dataclasses.fields(base)}
-        bad = set(args) - valid
-        if bad:
-            raise ConfigurationError(
-                f"unknown app arguments {sorted(bad)}; "
-                f"valid fields: {sorted(valid)}"
-            )
-        base = dataclasses.replace(base, **args)
-    return sweep3d_program(base)
+    if name:
+        base = SWEEP150
+    else:
+        base = Sweep3dConfig(n=_typed("n", args.pop("n", SWEEP150.n)))
+    return sweep3d_program(_override(base, args))
 
 
 def _build_pingpong(args: Dict[str, Any]) -> Callable:
     args = dict(args)
-    size = _int_arg("size", args.pop("size", 0))
+    size = _typed("size", args.pop("size", 0))
     reps = args.pop("repetitions", None)
     warmup = args.pop("warmup", None)
     if args:
@@ -112,12 +129,12 @@ def _build_pingpong(args: Dict[str, Any]) -> Callable:
             "valid: size, repetitions, warmup"
         )
     reps = (
-        _int_arg("repetitions", reps)
+        _typed("repetitions", reps)
         if reps is not None
         else default_repetitions(size)
     )
     if warmup is not None:
-        return pingpong_program(size, reps, warmup=_int_arg("warmup", warmup))
+        return pingpong_program(size, reps, warmup=_typed("warmup", warmup))
     return pingpong_program(size, reps)
 
 

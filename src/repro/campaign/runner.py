@@ -109,11 +109,11 @@ def execute_run(
 
         profiler = KernelProfiler()
     try:
+        # A bad app argument is refused before any machine is built.
+        program = build_program(spec.app, spec.args)
         machine = spec_machine(spec, telemetry, profiler)
         result = machine.run(
-            build_program(spec.app, spec.args),
-            max_events=max_events,
-            wall_limit_s=timeout_s,
+            program, max_events=max_events, wall_limit_s=timeout_s
         )
         record.update(
             status="ok",

@@ -6,19 +6,21 @@ run-to-completion loop that used to live inside
 :class:`JobScheduler` that both the batch CLI and the long-running
 daemon drive through one code path.
 
-A submitted :class:`~.spec.RunSpec` resolves in four tiers:
+A submitted :class:`~.spec.RunSpec` resolves in three tiers:
 
 1. **cache** — a content-addressed record from any earlier run is
    returned immediately, with the JSON text the cache stored for it
    (optionally via a small in-memory LRU so a hot query-serving loop
    never touches the disk);
-2. **journal** — a completed line from the campaign root's journal
-   (the batch engine's resume tier, passed in by the caller);
-3. **coalesce** — an identical spec already in flight joins the
+2. **coalesce** — an identical spec already in flight joins the
    existing :class:`Job` instead of executing twice;
-4. **schedule** — a fresh :class:`Job` is dispatched onto the worker
+3. **schedule** — a fresh :class:`Job` is dispatched onto the worker
    pool (or the serial worker thread) with the engine's historical
    timeout / retry-with-backoff / quarantine semantics.
+
+Every successful run is cached as it completes, so the cache is the one
+store that answers a repeat; the journal, the quarantine journal and
+the job store below are logs that no repeat is answered from.
 
 Every job transition is appended to a :class:`JobStore` — a JSONL log
 that doubles as the per-job progress event stream.  Given a durable
@@ -56,7 +58,7 @@ QUARANTINED = "quarantined"
 #: States a job never leaves.
 TERMINAL_STATES = (DONE, QUARANTINED)
 
-#: A reuse-tier answer: the record and its JSON text as the disk cache
+#: A cache answer: the record and its JSON text as the disk cache
 #: stores it (``json.dumps(record, sort_keys=True)``).
 Cached = Tuple[Dict[str, Any], str]
 
@@ -125,10 +127,10 @@ class Job:
 class Submission:
     """Outcome of one :meth:`JobScheduler.submit` call.
 
-    Exactly one of :attr:`record` (a reuse tier answered) or :attr:`job`
+    Exactly one of :attr:`record` (the cache answered) or :attr:`job`
     (scheduled or coalesced) is set; :attr:`source` names the tier:
-    ``cache``, ``journal``, ``coalesced`` or ``scheduled``.  A reuse
-    answer also carries :attr:`text`, the record's stored JSON text
+    ``cache``, ``coalesced`` or ``scheduled``.  A cache answer also
+    carries :attr:`text`, the record's stored JSON text
     (``json.dumps(record, sort_keys=True)``), so a server can send it
     without encoding the record again.
     """
@@ -275,7 +277,6 @@ class JobScheduler:
         quarantine: Journal,
         store: Optional[JobStore] = None,
         workers: int = 1,
-        use_cache: bool = True,
         trace: bool = False,
         timeout_s: Optional[float] = None,
         max_events: Optional[int] = None,
@@ -301,7 +302,6 @@ class JobScheduler:
         self.quarantine = quarantine
         self.store = store if store is not None else JobStore(None)
         self.workers = workers
-        self.use_cache = use_cache
         self.trace = trace
         self.timeout_s = timeout_s
         self.max_events = max_events
@@ -309,7 +309,7 @@ class JobScheduler:
         self.retry_backoff_s = retry_backoff_s
         self.lifecycle = lifecycle
         self.echo = echo
-        #: Append ``reused: true`` journal lines for reuse-tier answers
+        #: Append ``reused: true`` journal lines for cache answers
         #: (the batch engine's historical behaviour; the daemon disables
         #: it so a hot cache-hit loop never writes the journal).
         self.journal_reused = journal_reused
@@ -343,7 +343,6 @@ class JobScheduler:
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "cache_hits": 0,
-            "journal_hits": 0,
             "coalesced": 0,
             "scheduled": 0,
             "executed": 0,
@@ -356,14 +355,15 @@ class JobScheduler:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def at(cls, root, durable: bool = True, **kwargs) -> "JobScheduler":
-        """A scheduler owning the standard campaign-root file layout."""
+    def at(cls, root, **kwargs) -> "JobScheduler":
+        """A scheduler owning the standard campaign-root file layout,
+        with a durable job store."""
         root = Path(root)
         return cls(
             cache=ResultCache(root / "cache"),
             journal=Journal(root / "journal.jsonl"),
             quarantine=Journal(root / "quarantine.jsonl"),
-            store=JobStore(root / "jobs.jsonl") if durable else JobStore(None),
+            store=JobStore(root / "jobs.jsonl"),
             **kwargs,
         )
 
@@ -445,7 +445,7 @@ class JobScheduler:
         self.store.append(stored)
         self._cond.notify_all()
 
-    # -- cache tiers ---------------------------------------------------------
+    # -- cache ---------------------------------------------------------------
 
     def _cached(self, key: str) -> Optional[Cached]:
         if self.memory_cache:
@@ -481,40 +481,26 @@ class JobScheduler:
         self,
         spec: RunSpec,
         force: bool = False,
-        journaled: Optional[Dict[str, Dict[str, Any]]] = None,
         lifecycle: Optional[bool] = None,
     ) -> Submission:
-        """Resolve one spec: reuse, coalesce, or schedule.
+        """Resolve one spec: cache, coalesce, or schedule.
 
-        ``journaled`` is the batch engine's resume tier (key -> completed
-        record).  ``lifecycle`` overrides the scheduler default for this
-        job only (the serve API's per-request ``lifecycle`` flag).
+        ``force`` skips the cache (a re-simulation whose record then
+        replaces the cached one).  ``lifecycle`` overrides the scheduler
+        default for this job only (the serve API's per-request
+        ``lifecycle`` flag).
         """
         key = spec.key
         with self._lock:
             self.stats["submitted"] += 1
-            if not force:
-                if self.use_cache:
-                    hit = self._cached(key)
-                    if hit is not None:
-                        record, text = hit
-                        self.stats["cache_hits"] += 1
-                        if self.journal_reused:
-                            self.journal.append(dict(record, reused=True))
-                        self._say(f"hit  {record.get('label', key)}")
-                        return Submission("cache", record, text)
-                if journaled and key in journaled:
-                    record = journaled[key]
-                    self.stats["journal_hits"] += 1
-                    if self.use_cache:
-                        text = self.cache.put(key, record)
-                        self._remember(key, (record, text))
-                    else:
-                        text = json.dumps(record, sort_keys=True)
-                    if self.journal_reused:
-                        self.journal.append(dict(record, reused=True))
-                    self._say(f"hit  {record.get('label', key)}")
-                    return Submission("journal", record, text)
+            hit = None if force else self._cached(key)
+            if hit is not None:
+                record, text = hit
+                self.stats["cache_hits"] += 1
+                if self.journal_reused:
+                    self.journal.append(dict(record, reused=True))
+                self._say(f"hit  {record.get('label', key)}")
+                return Submission("cache", record, text)
             job = self._inflight.get(key)
             if job is not None:
                 self.stats["coalesced"] += 1
@@ -671,9 +657,8 @@ class JobScheduler:
             self.stats["executed"] += 1
             ok = record.get("status") == "ok"
             if ok:
-                if self.use_cache:
-                    text = self.cache.put(job.key, record)
-                    self._remember(job.key, (record, text))
+                text = self.cache.put(job.key, record)
+                self._remember(job.key, (record, text))
                 if attempt:
                     self.stats["retried_ok"] += 1
             self.journal.append(record)

@@ -68,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a perf summary (read it through GET /v1/jobs/<id>)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    parser.add_argument(
         "--memory-cache",
         type=int,
         default=4096,
@@ -99,7 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             host=args.host,
             port=args.port,
             workers=resolve_workers(args.workers),
-            use_cache=not args.no_cache,
             timeout_s=args.timeout_s,
             max_events=args.max_events,
             max_retries=args.max_retries,

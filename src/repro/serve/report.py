@@ -1,7 +1,7 @@
 """Blame reports straight from cached campaign records.
 
 ``repro-explain run`` builds its report from a *live* machine; the serve
-daemon has only the journal record a run left behind.  When that record
+daemon has only the cached record a run left behind.  When that record
 was produced with lifecycle collection (``--blame`` on the batch CLI,
 ``"lifecycle": true`` on the serve API), it already carries the
 deterministic ``blame`` table and resampled ``series`` block — enough to
@@ -41,7 +41,7 @@ def record_report(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         "n_nodes": spec.get("nodes", 0),
         "ppn": spec.get("ppn", 1),
         "elapsed_us": float(record.get("elapsed_us") or 0.0),
-        # Raw spans are not journaled; the blame table stands alone.
+        # Records keep no raw spans; the blame table stands alone.
         "spans": 0,
         "matched_on_arrival_share": None,
         "blame": blame,

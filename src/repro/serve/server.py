@@ -190,7 +190,7 @@ class CampaignHandle:
         self.name = name
         #: Spec keys in expansion order (duplicates collapse onto one).
         self.keys: List[str] = []
-        #: Reuse-tier answers, by key.
+        #: Cache answers, by key.
         self.records: Dict[str, Dict[str, Any]] = {}
         #: Scheduled/coalesced jobs, by key.
         self.job_ids: Dict[str, str] = {}
@@ -238,7 +238,6 @@ class ServeState:
         self,
         root,
         workers: int = 2,
-        use_cache: bool = True,
         timeout_s: Optional[float] = None,
         max_events: Optional[int] = None,
         max_retries: int = 0,
@@ -277,11 +276,9 @@ class ServeState:
             cls: metrics.counter(f"serve.http.responses.{cls}xx")
             for cls in (2, 4, 5)
         }
-        hits = metrics.counter("serve.cache.hits")
         #: Per Submission.source: the cache tally it bumps.
         self._tallies = {
-            "cache": hits,
-            "journal": hits,
+            "cache": metrics.counter("serve.cache.hits"),
             "coalesced": metrics.counter("serve.cache.coalesced"),
             "scheduled": metrics.counter("serve.cache.misses"),
         }
@@ -291,7 +288,6 @@ class ServeState:
         self.scheduler = JobScheduler.at(
             root,
             workers=workers,
-            use_cache=use_cache,
             timeout_s=timeout_s,
             max_events=max_events,
             max_retries=max_retries,
@@ -306,9 +302,6 @@ class ServeState:
             metrics=self.metrics,
             profile=profile,
         )
-        #: The batch engine's resume tier, loaded once: completed journal
-        #: lines answer queries even when the disk cache was disabled.
-        self.journaled = self.scheduler.journal.completed()
         self.campaigns: Dict[str, CampaignHandle] = {}
         self._campaign_lock = threading.Lock()
         self._next_campaign = 1
@@ -321,9 +314,7 @@ class ServeState:
         lifecycle: Optional[bool] = None,
     ) -> Submission:
         """Submit one spec, mirroring the outcome into serve metrics."""
-        sub = self.scheduler.submit(
-            spec, force=force, journaled=self.journaled, lifecycle=lifecycle
-        )
+        sub = self.scheduler.submit(spec, force=force, lifecycle=lifecycle)
         self._tallies[sub.source].inc()
         return sub
 
@@ -333,16 +324,6 @@ class ServeState:
             self._next_campaign += 1
             self.campaigns[handle.id] = handle
             return handle
-
-    def cached_record(self, key: str) -> Optional[Cached]:
-        """A record by content key and its JSON text: memory/disk cache,
-        then the journal."""
-        hit = self.scheduler.cached(key)
-        if hit is None:
-            record = self.journaled.get(key)
-            if record is not None:
-                hit = record, json.dumps(record, sort_keys=True)
-        return hit
 
     def _job_timing(self) -> Dict[str, Any]:
         """Lifetime job-timing histograms (fed by the scheduler)."""
@@ -728,7 +709,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _require_record(self, key: str) -> Cached:
         if not _valid_key(key):
             raise _HttpError(400, f"malformed run key {key!r}")
-        hit = self.state.cached_record(key)
+        hit = self.state.scheduler.cached(key)
         if hit is None:
             raise _HttpError(404, f"no cached record for key {key!r}")
         return hit

@@ -64,32 +64,26 @@ class TestCache:
 
 class TestJournal:
     def test_append_and_completed(self, tmp_path):
+        """Every completed run, ok or failed, reads back as one line."""
         journal = Journal(tmp_path / "j.jsonl")
         journal.append(record())
         journal.append(record(key="f" * 32, status="error", error="boom"))
-        done = journal.completed()
-        assert set(done) == {KEY}
-        assert done[KEY]["value"] == 1.5
-
-    def test_latest_record_wins(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append(record(value=1.0))
-        journal.append(record(value=2.0))
-        assert journal.completed()[KEY]["value"] == 2.0
+        entries = list(journal.entries())
+        assert [r["status"] for r in entries] == ["ok", "error"]
+        assert entries[0] == record()
 
     def test_torn_final_line_is_skipped(self, tmp_path):
-        """A campaign killed mid-write leaves a valid resumable prefix."""
+        """A campaign killed mid-write leaves a readable prefix."""
         path = tmp_path / "j.jsonl"
         journal = Journal(path)
         journal.append(record())
         with path.open("a") as fh:
             fh.write(json.dumps(record(key="f" * 32))[:17])  # torn write
-        assert set(journal.completed()) == {KEY}
-        assert len(list(journal.entries())) == 1
+        assert list(journal.entries()) == [record()]
 
     def test_missing_file(self, tmp_path):
         journal = Journal(tmp_path / "absent.jsonl")
-        assert journal.completed() == {}
+        assert list(journal.entries()) == []
         assert journal.tail() == []
 
     def test_tail_and_clear(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign import JobScheduler, RunSpec
 from repro.campaign.cli import main
 
 SPEC = {
@@ -73,6 +74,28 @@ def test_clean_removes_state(spec_file, tmp_path, capsys):
     run_cli("status", "--root", root)
     out = capsys.readouterr().out
     assert "0 records" in out and "cache: 0 entries" in out
+
+
+def test_clean_removes_the_job_store(tmp_path, capsys):
+    # A daemon's scheduler leaves jobs.jsonl beside the cache.
+    root = tmp_path / "root"
+    scheduler = JobScheduler.at(root, workers=1)
+    try:
+        scheduler.submit(RunSpec(app="pingpong", network="ib", nodes=2))
+        assert scheduler.wait(timeout_s=60)
+    finally:
+        scheduler.close()
+    assert run_cli("clean", "--root", root) == 0
+    assert "the job store" in capsys.readouterr().out
+    assert run_cli("status", "--root", root, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sum(payload["scheduler"]["jobs"].values()) == 0
+    assert payload["cache"]["entries"] == 0
+    restarted = JobScheduler.at(root, workers=1)
+    try:
+        assert restarted.jobs() == []
+    finally:
+        restarted.close()
 
 
 def test_bad_spec_file_exits_nonzero(tmp_path, capsys):

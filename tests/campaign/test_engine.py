@@ -40,12 +40,8 @@ def payload(records):
 
 
 def test_parallel_is_bit_identical_to_serial(tmp_path):
-    serial = CampaignEngine(
-        root=tmp_path / "s", workers=1, use_cache=False, resume=False
-    ).run(CAMPAIGN)
-    parallel = CampaignEngine(
-        root=tmp_path / "p", workers=4, use_cache=False, resume=False
-    ).run(CAMPAIGN)
+    serial = CampaignEngine(root=tmp_path / "s", workers=1).run(CAMPAIGN)
+    parallel = CampaignEngine(root=tmp_path / "p", workers=4).run(CAMPAIGN)
     assert serial.misses == parallel.misses == serial.total
     assert payload(serial.records) == payload(parallel.records)
 
@@ -76,36 +72,32 @@ def test_warm_rerun_is_at_least_5x_faster(tmp_path):
     assert payload(cold.records) == payload(warm.records)
 
 
-def test_partial_campaign_resumes_from_journal(tmp_path):
-    """Completed points are skipped on restart, even without the cache."""
-    specs = CAMPAIGN.expand()
-    first = CampaignEngine(root=tmp_path, workers=1, use_cache=False)
-    done = first.run_specs(specs[:3])  # "interrupted" after three runs
-    assert done.misses == 3
-    resumed = CampaignEngine(root=tmp_path, workers=1, use_cache=False)
-    result = resumed.run_specs(specs)
-    assert result.hits == 3
-    assert result.sources["journal"] == 3
-    assert result.misses == len(specs) - 3
+def test_partial_campaign_resumes_from_cache(tmp_path):
+    """Points completed before an interruption are cache hits on restart."""
+    specs = CAMPAIGN.expand()[:6]
+    done = CampaignEngine(root=tmp_path, workers=1).run_specs(specs[:3])
+    assert done.misses == 3  # "interrupted" after three runs
+    result = CampaignEngine(root=tmp_path, workers=1).run_specs(specs)
+    assert result.sources == {"cache": 3, "run": 3}
+    assert result.hits == 3 and result.misses == 3
     # The full run agrees with a from-scratch serial execution.
-    scratch = CampaignEngine(
-        root=tmp_path / "scratch", workers=1, use_cache=False, resume=False
-    ).run_specs(specs)
-    assert payload(result.records) == payload(scratch.records)
+    scratch = CampaignEngine(root=tmp_path / "scratch", workers=1)
+    assert payload(result.records) == payload(scratch.run_specs(specs).records)
 
 
-def test_torn_journal_line_reruns_that_point(tmp_path):
-    engine = CampaignEngine(root=tmp_path, workers=1, use_cache=False)
-    specs = CAMPAIGN.expand()
-    engine.run_specs(specs[:2])
-    journal_path = tmp_path / "journal.jsonl"
-    lines = journal_path.read_text().splitlines()
-    journal_path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:23])
-    result = CampaignEngine(
-        root=tmp_path, workers=1, use_cache=False
-    ).run_specs(specs[:2])
-    assert result.hits == 1  # the intact line
-    assert result.misses == 1  # the torn one re-executes
+def test_truncated_cache_file_reruns_that_point(tmp_path):
+    engine = CampaignEngine(root=tmp_path, workers=1)
+    specs = CAMPAIGN.expand()[:2]
+    engine.run_specs(specs)
+    path = engine.cache.path(specs[1].key)
+    text = path.read_text()
+    path.write_text(text[:23])  # damaged outside the atomic write
+    result = CampaignEngine(root=tmp_path, workers=1).run_specs(specs)
+    assert result.sources == {"cache": 1, "run": 1}
+    # The re-run rewrote the file: the record is whole again.
+    rewritten = engine.cache.get(specs[1].key)
+    assert rewritten == result.records[1]
+    assert payload([rewritten]) == payload([json.loads(text)])
 
 
 def test_force_reruns_everything(tmp_path):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.campaign import JobScheduler, JobStore, RunSpec
+from repro.campaign import CampaignEngine, JobScheduler, JobStore, RunSpec
 from repro.campaign.scheduler import DONE, PENDING, QUARANTINED
 
 pytestmark = pytest.mark.serve
@@ -82,23 +82,6 @@ def test_completed_job_stops_coalescing_and_hits_cache(tmp_path):
         scheduler.close()
 
 
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_journal_hit_carries_the_record_and_its_text(tmp_path, use_cache):
-    key = good_spec().key
-    journaled = {key: {"key": key, "status": "ok", "value": 1.5}}
-    scheduler = JobScheduler.at(
-        tmp_path, workers=1, use_cache=use_cache, memory_cache=4
-    )
-    try:
-        for source in ("journal", "cache") if use_cache else ("journal",) * 2:
-            sub = scheduler.submit(good_spec(), journaled=journaled)
-            assert sub.source == source
-            assert sub.record is journaled[key]  # the caller's own dict
-            assert sub.text == json.dumps(journaled[key], sort_keys=True)
-    finally:
-        scheduler.close()
-
-
 # -- JSONL durability and restart --------------------------------------------
 
 
@@ -153,7 +136,8 @@ def test_job_store_skips_torn_lines(tmp_path):
 
 
 def test_in_memory_store_is_ephemeral(tmp_path):
-    scheduler = JobScheduler.at(tmp_path, workers=1, durable=False)
+    # The batch engine's scheduler keeps its jobs in memory.
+    scheduler = CampaignEngine(root=tmp_path, workers=1).scheduler()
     try:
         scheduler.submit(good_spec())
         scheduler.wait(timeout_s=60)

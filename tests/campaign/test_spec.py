@@ -203,10 +203,16 @@ def test_build_program_registry():
     ("pingpong", {"size": 8, "warmup": -5}),
     ("sweep3d", {"n": 8.5}),
     ("sweep3d", {"config": "sweep150", "n": 8.5}),
+    ("sweep3d", {"n": 8, "iterations": True}),
+    ("sweep3d", {"n": 8, "iterations": 1.5}),
+    ("lammps", {"steps": 1.5}),
+    ("cg", {"niter": 1.5}),
 ])
 def test_app_arguments_are_not_bent(app, args):
     # A bare int() ran size=1.5 and size=true as the 1-byte ping-pong
-    # under keys of their own, and Sweep3D n=8.5 as n=8.
+    # under keys of their own, and Sweep3D n=8.5 as n=8.  Unchecked
+    # config overrides ran Sweep3D iterations=true as iterations=1, and
+    # a fractional iteration or step count crashed a rank mid-run.
     with pytest.raises(ConfigurationError):
         build_program(app, args)
     spec = RunSpec.from_dict(
@@ -215,6 +221,7 @@ def test_app_arguments_are_not_bent(app, args):
     record = execute_run(spec)
     assert record["status"] == "error"
     assert record["error_type"] == "ConfigurationError"
+    assert "metrics" not in record  # refused before a machine was built
 
 
 def test_integral_float_app_argument_keeps_its_key_and_value():

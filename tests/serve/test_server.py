@@ -179,11 +179,33 @@ def test_hit_bodies_are_the_canonical_encoding_on_every_tier(tmp_path):
         check(svc, "cache", stored)  # the file is gone: memory answers
     finally:
         svc.close()
-    svc = ServeService(tmp_path, workers=1, use_cache=False, echo=None).start()
+
+
+def test_journaled_run_without_its_cache_file_is_simulated_again(tmp_path):
+    """No answer is read from the journal: once a record's cache file is
+    gone, the engine and the daemon both simulate the run again."""
+    spec = RunSpec.from_dict(SPEC)
+    engine = CampaignEngine(root=tmp_path, workers=1, echo=None)
+    first = engine.run_specs([spec]).records[0]
+    assert [r["key"] for r in engine.journal.entries()] == [spec.key]
+    engine.cache.path(spec.key).unlink()
+    again = CampaignEngine(root=tmp_path, workers=1, echo=None)
+    assert again.run_specs([spec]).sources == {"cache": 0, "run": 1}
+
+    engine.cache.path(spec.key).unlink()
+    svc = ServeService(tmp_path, workers=1, echo=None).start()
     try:
-        check(svc, "journal", svc.state.journaled[key])
+        status, _ = http_error("GET", svc.url + f"/v1/runs/{spec.key}")
+        assert status == 404
+        status, body = http(
+            "POST", svc.url + "/v1/runs", {"spec": SPEC, "wait_s": 60}
+        )
+        assert status == 200 and body["source"] == "scheduled"
+        record = body["job"]["record"]
     finally:
         svc.close()
+    assert record["value"] == first["value"]
+    assert ResultCache(tmp_path / "cache").get(spec.key) == record
 
 
 def test_hit_answer_is_one_socket_write(service, monkeypatch):
@@ -606,7 +628,7 @@ def test_record_reads_race_hits_on_a_small_lru(tmp_path):
             errors.append(exc)
 
     def read(spec):
-        return state.cached_record(spec.key)
+        return state.scheduler.cached(spec.key)
 
     def hit(spec):
         sub = state.submit(spec)

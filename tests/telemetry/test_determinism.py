@@ -52,12 +52,8 @@ def test_execute_run_attaches_identical_metrics():
 
 
 def test_serial_equals_parallel_campaign_metrics(tmp_path):
-    serial = CampaignEngine(
-        root=tmp_path / "s", workers=1, use_cache=False, resume=False
-    ).run(CAMPAIGN)
-    parallel = CampaignEngine(
-        root=tmp_path / "p", workers=4, use_cache=False, resume=False
-    ).run(CAMPAIGN)
+    serial = CampaignEngine(root=tmp_path / "s", workers=1).run(CAMPAIGN)
+    parallel = CampaignEngine(root=tmp_path / "p", workers=4).run(CAMPAIGN)
 
     def metric_payload(result):
         return json.dumps(

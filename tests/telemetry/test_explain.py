@@ -214,12 +214,10 @@ CAMPAIGN = CampaignSpec(
 
 def test_campaign_blame_records_serial_equals_parallel(tmp_path):
     serial = CampaignEngine(
-        root=tmp_path / "s", workers=1, use_cache=False, resume=False,
-        lifecycle=True,
+        root=tmp_path / "s", workers=1, lifecycle=True,
     ).run(CAMPAIGN)
     parallel = CampaignEngine(
-        root=tmp_path / "p", workers=4, use_cache=False, resume=False,
-        lifecycle=True,
+        root=tmp_path / "p", workers=4, lifecycle=True,
     ).run(CAMPAIGN)
 
     def payload(result):
@@ -237,9 +235,7 @@ def test_campaign_blame_records_serial_equals_parallel(tmp_path):
 
 
 def test_campaign_without_blame_keeps_lean_records(tmp_path):
-    result = CampaignEngine(
-        root=tmp_path, workers=1, use_cache=False, resume=False
-    ).run(CAMPAIGN)
+    result = CampaignEngine(root=tmp_path, workers=1).run(CAMPAIGN)
     for record in result.records:
         assert "blame" not in record and "series" not in record
 

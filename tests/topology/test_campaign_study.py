@@ -81,12 +81,8 @@ class TestTopologyAxes:
         assert kinds == {None, "fattree", "torus"}
 
     def test_serial_equals_parallel(self, tmp_path):
-        serial = CampaignEngine(
-            root=tmp_path / "s", workers=1, use_cache=False, resume=False
-        ).run(CAMPAIGN)
-        parallel = CampaignEngine(
-            root=tmp_path / "p", workers=3, use_cache=False, resume=False
-        ).run(CAMPAIGN)
+        serial = CampaignEngine(root=tmp_path / "s", workers=1).run(CAMPAIGN)
+        parallel = CampaignEngine(root=tmp_path / "p", workers=3).run(CAMPAIGN)
         assert serial.misses == parallel.misses == serial.total == 6
         assert payload(serial.records) == payload(parallel.records)
 
