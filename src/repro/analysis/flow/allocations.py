@@ -17,6 +17,9 @@ This pass walks the call graph from the kernel's **hot roots**:
   ``Process._resume``;
 * the grant paths — ``FifoResource.request/_grant/release`` and
   ``Store.put/get/_stamp/try_get``;
+* the pipelined transfer, which runs most events — ``transfer`` and
+  the step methods of its ``_Stage`` and ``_Gate`` objects (constructor
+  edges are not followed, so each ``__init__`` is a root of its own);
 * every method of the disabled-telemetry null singletons
   (``_Null*``/``Null*`` classes in :mod:`repro.telemetry`) — the
   "allocation-free when disabled" contract made mechanical.
@@ -29,7 +32,7 @@ expression: dict/list/set/tuple displays, comprehensions, f-strings,
 
 The kernel keeps a handful of *sanctioned* allocations — the schedule-entry
 tuple, each event's callback list, the waiter pair, the sanitizer key
-stamp — each carrying an
+stamp, a transfer stage's ``(message, stage)`` grant key — each carrying an
 inline ``# repro-lint: disable=RPR022`` with its justification; those
 are the allocations the profiler already accounts for, and the point of
 the gate is that adding an *unsanctioned* one fails CI.
@@ -70,6 +73,16 @@ DEFAULT_HOT_ROOTS: Tuple[str, ...] = (
     "repro.sim.resources.Store.get",
     "repro.sim.resources.Store._stamp",
     "repro.sim.resources.Store.try_get",
+    "repro.sim.pipelines.transfer",
+    "repro.sim.pipelines._Stage.__init__",
+    "repro.sim.pipelines._Stage._join",
+    "repro.sim.pipelines._Stage._begin",
+    "repro.sim.pipelines._Stage._granted",
+    "repro.sim.pipelines._Stage._held",
+    "repro.sim.pipelines._Stage._deliver",
+    "repro.sim.pipelines._Gate.__init__",
+    "repro.sim.pipelines._Gate._wait",
+    "repro.sim.pipelines._Gate._open",
 )
 
 #: Telemetry/perf disabled-path singletons: any method of a class whose

@@ -163,7 +163,7 @@ def render_status(payload: dict) -> str:
         )
         lines.append(
             f"scheduler: {by_state}; "
-            f"cache-hit ratio {sched['cache_hit_ratio']:.2f}, "
+            f"batch cache-hit ratio {sched['cache_hit_ratio']:.2f}, "
             f"mean queue delay {sched['queue_delay_s']['mean'] * 1e3:.1f} ms, "
             f"mean job wall {sched['job_wall_s']['mean']:.2f}s"
         )

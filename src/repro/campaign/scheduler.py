@@ -219,9 +219,11 @@ def scheduler_status(root) -> Dict[str, Any]:
     Works without a live scheduler: replays the campaign root's
     ``jobs.jsonl`` transitions for per-state job counts and queue-delay
     / wall-time summaries, and the journal for the cache-hit ratio
-    (``reused`` lines over all lines).  ``repro-campaign status --json``
-    and the serve daemon's ``/v1/status`` both embed this (the daemon's
-    live metric histograms carry the same numbers for its own lifetime).
+    (``reused`` lines over all lines).  Only batch runs write ``reused``
+    lines, so that ratio covers batch runs only; a serve daemon reports
+    its own beside this block.  ``repro-campaign status --json`` and the
+    serve daemon's ``/v1/status`` both embed this (the daemon's live
+    metric histograms carry the same numbers for its own lifetime).
     """
     store = JobStore(Path(root) / "jobs.jsonl")
     state_of: Dict[str, str] = {}

@@ -7,14 +7,16 @@ campaign root::
 
 The daemon resumes any jobs left pending in the root's durable job
 store, pre-warms its worker pool, and serves the ``/v1`` API until
-interrupted.  ``repro-serve --root ... --print-status`` answers the
-same JSON as ``GET /v1/status`` without binding a socket.
+interrupted (Ctrl-C or SIGTERM), then shuts the pool down.
+``repro-serve --root ... --print-status`` answers the same JSON as
+``GET /v1/status`` without binding a socket.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import List, Optional
 
@@ -114,6 +116,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if echo is not None:
         echo(f"repro-serve {__version__} listening on {service.url} (root={args.root})")
+    # SIGTERM (kill, a service manager) stops the daemon the way Ctrl-C
+    # does, so close() shuts the worker pool down instead of orphaning it.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -121,6 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             echo("repro-serve: interrupted, shutting down")
     finally:
         service.close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -337,6 +337,8 @@ class ServeState:
         return out
 
     def status(self) -> Dict[str, Any]:
+        stats = dict(self.scheduler.stats)
+        submitted = stats["submitted"]
         return {
             "service": {
                 "version": __version__,
@@ -348,7 +350,14 @@ class ServeState:
                 "profile": self.profile,
             },
             "scheduler": {
-                "stats": dict(self.scheduler.stats),
+                "stats": stats,
+                # This daemon's own ratio: its hits write no journal
+                # line, so the durable block's journal ratio below
+                # counts batch runs only.
+                "cache_hit_ratio": (
+                    round(stats["cache_hits"] / submitted, 4)
+                    if submitted else 0.0
+                ),
                 "jobs": self.scheduler.counts(),
                 "timing": self._job_timing(),
             },

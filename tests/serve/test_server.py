@@ -508,6 +508,29 @@ def test_status_embeds_campaign_status_payload(service, warm_root):
     assert body["campaign_root"]["cache"] == expected["cache"]
 
 
+def test_status_reports_the_daemons_own_cache_hit_ratio(tmp_path):
+    # The durable block's ratio counts the journal's ``reused`` lines,
+    # which the daemon's hits never write, so it read 0 on every daemon.
+    CampaignEngine(root=tmp_path, workers=1, echo=None).run_specs(
+        [RunSpec.from_dict(SPEC)]
+    )
+    svc = ServeService(tmp_path, workers=1, echo=None).start()
+    try:
+        for _ in range(5):
+            _, hit = http("POST", svc.url + "/v1/runs", SPEC)
+            assert hit["source"] == "cache"
+        cold = dict(SPEC, app_args={"size": 8})
+        _, miss = http("POST", svc.url + "/v1/runs",
+                       {"spec": cold, "wait_s": 60})
+        assert miss["source"] == "scheduled"
+        assert miss["job"]["state"] == "done"
+        _, body = http("GET", svc.url + "/v1/status")
+    finally:
+        svc.close()
+    assert body["scheduler"]["cache_hit_ratio"] == 0.8333
+    assert body["campaign_root"]["scheduler"]["cache_hit_ratio"] == 0.0
+
+
 def test_metrics_expose_request_and_cache_counters(service):
     status, metrics = http("GET", service.url + "/v1/metrics")
     assert status == 200
