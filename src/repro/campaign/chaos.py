@@ -215,9 +215,9 @@ class ChaosStudy:
             nodes=self.nodes,
             ppn=self.ppn,
             seed=self.seed,
-            app_args=tuple(sorted(self.app_args.items())),
-            faults=tuple(sorted(faults.items())),
-            topology=tuple(sorted(self.topology.items())),
+            app_args=tuple(self.app_args.items()),
+            faults=tuple(faults.items()),
+            topology=tuple(self.topology.items()),
         )
 
     def links_for(self, network: str) -> List[str]:

@@ -501,7 +501,8 @@ class JobScheduler:
                 self.stats["cache_hits"] += 1
                 if self.journal_reused:
                     self.journal.append(dict(record, reused=True))
-                self._say(f"hit  {record.get('label', key)}")
+                if self.echo is not None:
+                    self.echo(f"hit  {record.get('label', key)}")
                 return Submission("cache", record, text)
             job = self._inflight.get(key)
             if job is not None:

@@ -41,41 +41,89 @@ _FAULT_PREFIX = "fault."
 #: Prefix for sweeping topology fields, e.g. ``topology.kind``.
 _TOPO_PREFIX = "topology."
 
-
-def _check_json_value(name: str, value: Any) -> None:
-    if not isinstance(value, (str, int, float, bool, type(None))):
-        raise ConfigurationError(
-            f"campaign parameter {name}={value!r} is not a JSON scalar"
-        )
-    # Python's json parses NaN/Infinity; no knob takes one.
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(
-            f"campaign parameter {name}={value!r} is not a finite number"
-        )
+#: ``json.dumps``'s string encoder (``ensure_ascii``), for the key text.
+_string = json.encoder.encode_basestring_ascii
 
 
-def _canon_scalar(value: Any) -> Any:
-    """Collapse numerically-equal JSON scalars onto one canonical form.
+def _integer(name: str, value: Any) -> int:
+    """An int field's value: integral floats collapse (``nodes=2.0`` is
+    2); bools, strings and fractions are refused, never bent."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigurationError(f"{name}={value!r} must be an integer")
+
+
+def _canon_pairs(
+    prefix: str, pairs: Iterable[Tuple[str, Any]]
+) -> Tuple[Tuple[str, Any], ...]:
+    """Checked, scalar-canonicalized ``(name, value)`` pairs, sorted.
 
     ``ber=0`` and ``ber=0.0`` describe the same simulation, so they must
     hash to the same cache key — otherwise the serve layer would run (and
     fail to coalesce) duplicate jobs for one question.  Integral floats
     become ints; bools are left alone (``True != 1`` as a knob value).
-    """
-    if isinstance(value, float) and not isinstance(value, bool):
-        if value.is_integer():
-            return int(value)
-    return value
-
-
-def _canon_pairs(pairs: Iterable[Tuple[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
-    """Sorted, scalar-canonicalized ``(name, value)`` pairs.
-
     Sorting here (not just in ``to_dict``) makes *spec equality* — and
     therefore in-flight coalescing — agree with cache-key equality even
     for specs built with hand-ordered tuples.
     """
-    return tuple(sorted((name, _canon_scalar(value)) for name, value in pairs))
+    canon = []
+    for name, value in pairs:
+        if not isinstance(name, str):
+            raise ConfigurationError(
+                f"campaign parameter {prefix}{name!r} is not named by a string"
+            )
+        if isinstance(value, float):
+            if value.is_integer():
+                value = int(value)
+            # Python's json parses NaN/Infinity; no knob takes one.
+            elif not math.isfinite(value):
+                raise ConfigurationError(
+                    f"campaign parameter {prefix}{name}={value!r} "
+                    "is not a finite number"
+                )
+        elif not (isinstance(value, (str, int)) or value is None):
+            raise ConfigurationError(
+                f"campaign parameter {prefix}{name}={value!r} is not a JSON scalar"
+            )
+        canon.append((name, value))
+    canon.sort()
+    return tuple(canon)
+
+
+def _scalar(value: Any) -> str:
+    """``json.dumps(value)`` for a canonical pair value."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return float.__repr__(value)
+
+
+def _object(pairs: Tuple[Tuple[str, Any], ...]) -> str:
+    """``json.dumps(dict(pairs), sort_keys=True, separators=(",", ":"))``
+    for canonical pairs; a repeated name keeps its last value, as
+    ``dict(sorted(pairs))`` does."""
+    if not pairs:
+        return "{}"
+    items = dict(pairs).items()
+    return "{" + ",".join([f"{_string(k)}:{_scalar(v)}" for k, v in items]) + "}"
+
+
+def _items(name: str, mapping: Any) -> Tuple[Tuple[str, Any], ...]:
+    """A request's ``app_args``/``faults``/``topology`` mapping as pairs."""
+    if not mapping:
+        return ()
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"{name} must be a mapping")
+    return tuple(mapping.items())
 
 
 @dataclass(frozen=True)
@@ -111,44 +159,52 @@ class RunSpec:
     topology: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        # The one check of a spec's values, whoever built it.  It also
+        # canonicalizes, so semantically identical specs (hand-ordered
+        # tuples, nodes=2.0, ber=0 vs ber=0.0) compare equal and share one
+        # cache key, or the serve layer would fail to coalesce identical
+        # in-flight work.  The dataclass is frozen, so canonical values go
+        # back through object.__setattr__, even when the canonical tuple
+        # compares equal to the given one: 0.0 == 0 and True == 1, but
+        # their keys differ.
+        if not isinstance(self.app, str):
+            raise ConfigurationError(f"app={self.app!r} must be a string")
         if self.network not in NETWORKS:
             raise ConfigurationError(
                 f"unknown network {self.network!r}; expected one of {NETWORKS}"
             )
-        # Canonicalize before validating: semantically identical specs
-        # (hand-ordered tuples, int-vs-float scalars like ber=0 vs
-        # ber=0.0) must compare equal and hash to one cache key, or the
-        # serve layer would fail to coalesce identical in-flight work.
-        # The dataclass is frozen, so normalized fields are written back
-        # through object.__setattr__.
-        for name in ("app_args", "faults", "topology"):
-            object.__setattr__(self, name, _canon_pairs(getattr(self, name)))
-        for name in ("nodes", "ppn", "seed", "fabric_radix"):
+        for name in ("nodes", "ppn", "seed"):
             value = getattr(self, name)
-            if isinstance(value, float) and not isinstance(value, bool):
-                canon = _canon_scalar(value)
-                if not isinstance(canon, int):
-                    raise ConfigurationError(
-                        f"{name}={value!r} must be an integer"
-                    )
-                object.__setattr__(self, name, canon)
+            if type(value) is not int:
+                object.__setattr__(self, name, _integer(name, value))
+        radix = self.fabric_radix
+        if radix is not None and type(radix) is not int:
+            object.__setattr__(self, "fabric_radix", _integer("fabric_radix", radix))
         if self.nodes < 1:
             raise ConfigurationError("need at least one node")
         if self.ppn < 1:
             raise ConfigurationError("need at least one process per node")
-        for name, value in self.app_args:
-            _check_json_value(f"{_ARG_PREFIX}{name}", value)
-        for name, value in self.faults:
-            _check_json_value(f"{_FAULT_PREFIX}{name}", value)
-        for name, value in self.topology:
-            _check_json_value(f"{_TOPO_PREFIX}{name}", value)
+        if not isinstance(self.ib_progress_thread, bool):
+            raise ConfigurationError(
+                f"ib_progress_thread={self.ib_progress_thread!r} must be a bool"
+            )
+        for name, prefix in (
+            ("app_args", _ARG_PREFIX),
+            ("faults", _FAULT_PREFIX),
+            ("topology", _TOPO_PREFIX),
+        ):
+            pairs = getattr(self, name)
+            if pairs or type(pairs) is not tuple:
+                object.__setattr__(self, name, _canon_pairs(prefix, pairs))
         if self.topology and self.fabric_radix is not None:
             raise ConfigurationError(
                 "set either topology.* axes or fabric_radix, not both"
             )
         # Validate knob names and ranges eagerly, at declaration time.
-        self.fault_plan
-        self.topology_spec
+        if self.faults:
+            self.fault_plan
+        if self.topology or self.fabric_radix is not None:
+            self.topology_spec
 
     @property
     def args(self) -> Dict[str, Any]:
@@ -192,20 +248,21 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        args = data.get("app_args") or {}
-        faults = data.get("faults") or {}
-        topology = data.get("topology") or {}
+        """The spec :meth:`to_dict` (or a request body) describes.
+
+        Values pass through as sent: the constructor checks them once.
+        """
         return cls(
             app=data["app"],
             network=data["network"],
-            nodes=int(data["nodes"]),
-            ppn=int(data.get("ppn", 1)),
-            seed=int(data.get("seed", 0)),
-            app_args=tuple(sorted(args.items())),
+            nodes=data["nodes"],
+            ppn=data.get("ppn", 1),
+            seed=data.get("seed", 0),
+            app_args=_items("app_args", data.get("app_args")),
             fabric_radix=data.get("fabric_radix"),
-            ib_progress_thread=bool(data.get("ib_progress_thread", False)),
-            faults=tuple(sorted(faults.items())),
-            topology=tuple(sorted(topology.items())),
+            ib_progress_thread=data.get("ib_progress_thread", False),
+            faults=_items("faults", data.get("faults")),
+            topology=_items("topology", data.get("topology")),
         )
 
     @property
@@ -216,18 +273,31 @@ class RunSpec:
         potentially to the model) yields a new key, so stale cache
         entries can never be mistaken for current results.
 
-        Memoized per instance: the serve daemon derives the key on
-        every request, and the spec is frozen so it cannot go stale.
+        The hash is over ``json.dumps({"version": ..., "run":
+        self.to_dict()}, sort_keys=True, separators=(",", ":"))``,
+        written here straight from the canonical fields, byte for byte
+        (the reference derivation lives in the tests).  Memoized per
+        instance: the serve daemon derives the key on every request, and
+        the spec is frozen so it cannot go stale.
         """
         cached = self.__dict__.get("_key")
         if cached is not None:
             return cached
-        payload = json.dumps(
-            {"version": __version__, "run": self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
+        radix = self.fabric_radix
+        text = (
+            f'{{"run":{{"app":{_string(self.app)}'
+            f',"app_args":{_object(self.app_args)}'
+            f',"fabric_radix":{"null" if radix is None else int.__repr__(radix)}'
+            f',"faults":{_object(self.faults)}'
+            f',"ib_progress_thread":{"true" if self.ib_progress_thread else "false"}'
+            f',"network":{_string(self.network)}'
+            f',"nodes":{int.__repr__(self.nodes)}'
+            f',"ppn":{int.__repr__(self.ppn)}'
+            f',"seed":{int.__repr__(self.seed)}'
+            f',"topology":{_object(self.topology)}'
+            f'}},"version":{_string(__version__)}}}'
         )
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        digest = hashlib.sha256(text.encode()).hexdigest()[:32]
         object.__setattr__(self, "_key", digest)
         return digest
 
@@ -285,9 +355,9 @@ def _point_to_spec(point: Dict[str, Any], seed: int) -> RunSpec:
     fields.setdefault("nodes", 1)
     return RunSpec(
         seed=seed,
-        app_args=tuple(sorted(args.items())),
-        faults=tuple(sorted(faults.items())),
-        topology=tuple(sorted(topology.items())),
+        app_args=tuple(args.items()),
+        faults=tuple(faults.items()),
+        topology=tuple(topology.items()),
         **fields,
     )
 
@@ -417,7 +487,7 @@ def study_runspecs(
     :class:`repro.core.study.ScalingStudy`, so seeds and assembly order
     match the serial runner exactly.
     """
-    args = tuple(sorted((app_args or {}).items()))
+    args = tuple((app_args or {}).items())
     return [
         RunSpec(
             app=app,

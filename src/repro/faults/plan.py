@@ -247,12 +247,11 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         """Build a plan from a (possibly partial) field mapping."""
-        valid = {f.name for f in fields(cls)}
-        unknown = set(data) - valid
+        unknown = data.keys() - _FIELDS
         if unknown:
             raise ConfigurationError(
                 f"unknown fault plan fields {sorted(unknown)}; "
-                f"valid: {sorted(valid)}"
+                f"valid: {sorted(_FIELDS)}"
             )
         return cls(**data)
 
@@ -265,3 +264,7 @@ class FaultPlan:
             if getattr(self, f.name) != getattr(defaults, f.name)
         ]
         return "FaultPlan(" + ", ".join(parts) + ")" if parts else "FaultPlan()"
+
+
+#: The field names :meth:`FaultPlan.from_dict` accepts.
+_FIELDS = frozenset(f.name for f in fields(FaultPlan))

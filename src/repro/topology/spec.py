@@ -48,6 +48,20 @@ class TopologySpec:
     dim_latency: str = ""
 
     def __post_init__(self) -> None:
+        # Types first: a number where a string belongs would otherwise
+        # surface as an AttributeError from the parsers below.
+        for name in ("kind", "dims", "dim_latency"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigurationError(
+                    f"topology {name}={value!r} must be a string"
+                )
+        for name in ("radix", "levels"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"topology {name}={value!r} must be an integer"
+                )
         if self.kind not in KINDS:
             raise ConfigurationError(
                 f"unknown topology kind {self.kind!r}; expected one of {KINDS}"
@@ -139,12 +153,11 @@ class TopologySpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TopologySpec":
         """Build a spec from a (possibly partial) field mapping."""
-        valid = {f.name for f in fields(cls)}
-        unknown = set(data) - valid
+        unknown = data.keys() - _FIELDS
         if unknown:
             raise ConfigurationError(
                 f"unknown topology fields {sorted(unknown)}; "
-                f"valid: {sorted(valid)}"
+                f"valid: {sorted(_FIELDS)}"
             )
         return cls(**data)
 
@@ -157,3 +170,7 @@ class TopologySpec:
             if getattr(self, f.name) != getattr(defaults, f.name)
         ]
         return "TopologySpec(" + ", ".join(parts) + ")" if parts else "TopologySpec()"
+
+
+#: The field names :meth:`TopologySpec.from_dict` accepts.
+_FIELDS = frozenset(f.name for f in fields(TopologySpec))

@@ -299,3 +299,61 @@ def test_from_dict_key_matches_constructed_key():
          "app_args": {"size": 8.0}}
     )
     assert via_dict.key == spec.key
+
+
+@pytest.mark.parametrize("field,value", [
+    ("nodes", 2.5), ("nodes", True), ("nodes", "2"), ("nodes", None),
+    ("ppn", 1.9), ("ppn", False), ("ppn", "1"),
+    ("seed", 1.7), ("seed", True), ("seed", "0"),
+    ("fabric_radix", 8.5), ("fabric_radix", True), ("fabric_radix", "8"),
+    ("ib_progress_thread", "no"), ("ib_progress_thread", 1),
+    ("ib_progress_thread", None),
+    ("app", 5), ("app", None),
+])
+def test_run_fields_are_not_bent(field, value):
+    # from_dict used to coerce with a bare int() and bool(): nodes=2.5
+    # ran 2 nodes under the key of nodes=2, seed=1.7 ran as seed 1, and
+    # ib_progress_thread="no" turned the ablation on.  The constructor
+    # took nodes=True, keyed it as "nodes":true and simulated 1 node.
+    data = {"app": "pingpong", "network": "ib", "nodes": 2, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        RunSpec.from_dict(data)
+    with pytest.raises(ConfigurationError, match=field):
+        RunSpec(**data)
+
+
+def test_integral_float_run_fields_become_ints():
+    spec = RunSpec.from_dict({"app": "pingpong", "network": "ib",
+                              "nodes": 4.0, "ppn": 2.0, "seed": 3.0,
+                              "fabric_radix": 8.0})
+    assert (spec.nodes, spec.ppn, spec.seed, spec.fabric_radix) == (4, 2, 3, 8)
+    assert all(type(v) is int for v in
+               (spec.nodes, spec.ppn, spec.seed, spec.fabric_radix))
+    assert spec.key == RunSpec(app="pingpong", network="ib", nodes=4, ppn=2,
+                               seed=3, fabric_radix=8).key
+
+
+@pytest.mark.parametrize("field", ["app_args", "faults", "topology"])
+def test_pair_fields_must_be_mappings(field):
+    with pytest.raises(ConfigurationError, match=f"{field} must be a mapping"):
+        RunSpec.from_dict({"app": "pingpong", "network": "ib", "nodes": 2,
+                           field: [["size", 8]]})
+
+
+def test_pair_names_must_be_strings():
+    with pytest.raises(ConfigurationError, match="not named by a string"):
+        RunSpec(app="pingpong", network="ib", nodes=2, app_args=((8, 1),))
+
+
+@pytest.mark.parametrize("topology", [
+    {"kind": "torus", "dims": 444},
+    {"kind": "torus", "dim_latency": 5},
+    {"kind": 3},
+    {"kind": "fattree", "radix": "8"},
+    {"kind": "fattree", "radix": 8, "levels": True},
+    {"kind": "fattree", "radix": 8.5},
+])
+def test_mistyped_topology_fields_are_refused(topology):
+    with pytest.raises(ConfigurationError, match="must be a"):
+        RunSpec.from_dict({"app": "pingpong", "network": "ib", "nodes": 2,
+                           "topology": topology})

@@ -625,6 +625,32 @@ def test_bad_bodies_are_400(service):
         assert exc.code == 400
 
 
+@pytest.mark.parametrize("change,field", [
+    ({"nodes": 2.5}, "nodes"),
+    ({"nodes": True}, "nodes"),
+    ({"nodes": "2"}, "nodes"),
+    ({"ppn": 1.9}, "ppn"),
+    ({"seed": 1.7}, "seed"),
+    ({"fabric_radix": "8"}, "fabric_radix"),
+    ({"ib_progress_thread": "no"}, "ib_progress_thread"),
+    ({"app": 7}, "app"),
+    ({"app_args": [["size", 8]]}, "app_args"),
+    ({"topology": {"kind": "torus", "dims": 444}}, "dims"),
+    ({"topology": {"kind": "torus", "dim_latency": 5}}, "dim_latency"),
+    ({"topology": {"kind": "fattree", "radix": "8"}}, "radix"),
+    ({"topology": {"kind": "fattree", "radix": 8, "levels": True}}, "levels"),
+])
+def test_mistyped_spec_values_are_400(service, change, field):
+    # nodes=2.5 and ib_progress_thread="no" answered 202 and ran bent
+    # values; a torus dims of 444 answered 500 (AttributeError).
+    scheduled = service.state.scheduler.stats["scheduled"]
+    code, err = http_error("POST", service.url + "/v1/runs",
+                           dict(SPEC, **change))
+    assert code == 400
+    assert field in err["error"]
+    assert service.state.scheduler.stats["scheduled"] == scheduled
+
+
 # -- concurrency --------------------------------------------------------------
 
 

@@ -78,6 +78,24 @@ def test_non_finite_torus_latency_rejected(bad):
         )
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"kind": "torus", "dims": 444}, "dims"),
+    ({"kind": "torus", "dim_latency": 5}, "dim_latency"),
+    ({"kind": None}, "kind"),
+    ({"kind": "fattree", "radix": "8"}, "radix"),
+    ({"kind": "fattree", "radix": 8.0}, "radix"),
+    ({"kind": "fattree", "radix": 8, "levels": True}, "levels"),
+])
+def test_mistyped_fields_rejected(kwargs, field):
+    # dims=444 and dim_latency=5 used to raise AttributeError from the
+    # string parsers (an HTTP 500), radix="8" a bare TypeError, and
+    # levels=True ran as one level under a key of its own.
+    with pytest.raises(ConfigurationError, match=f"{field}=.* must be"):
+        TopologySpec(**kwargs)
+    with pytest.raises(ConfigurationError, match=f"{field}=.* must be"):
+        TopologySpec.from_dict(kwargs)
+
+
 def test_round_trips_through_dict():
     spec = TopologySpec(kind="torus", dims="8x8x16")
     assert TopologySpec.from_dict(spec.to_dict()) == spec
