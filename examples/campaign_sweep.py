@@ -12,7 +12,7 @@ Run:  python examples/campaign_sweep.py [--quick] [--workers N]
 import argparse
 import tempfile
 
-from repro.campaign import CampaignEngine, CampaignSpec, run_study
+from repro.campaign import CampaignEngine, CampaignSpec
 from repro.core import ScalingStudy
 from repro.mpi import NETWORK_LABELS
 
@@ -63,7 +63,7 @@ def main():
         print(f"  {result.summary()}")
 
         print("\nLAMMPS LJS study through the same cache:")
-        study_result = run_study(ljs_study(args.quick), engine)
+        study_result = ljs_study(args.quick).run(engine=engine)
         for (network, ppn), points in study_result.curves.items():
             times = ", ".join(f"{p.mean_time / 1e3:.1f}" for p in points)
             print(f"  {NETWORK_LABELS[network]} {ppn} PPN: {times} ms")

@@ -43,7 +43,6 @@ from .campaign import (
     CampaignResult,
     CampaignSpec,
     RunSpec,
-    run_study,
 )
 from .core import (
     EXPERIMENTS,
@@ -87,7 +86,6 @@ __all__ = [
     "RunSpec",
     "CampaignEngine",
     "CampaignResult",
-    "run_study",
     "EXPERIMENTS",
     "FigureData",
     "check_all",

@@ -26,7 +26,6 @@ Quickstart::
 See the ``repro-campaign`` console script for file-driven campaigns.
 """
 
-from .adapters import run_study, study_spec
 from .cache import ResultCache
 from .chaos import ChaosCell, ChaosResult, ChaosStudy, default_kill_link
 from .engine import DEFAULT_ROOT, CampaignEngine, CampaignResult, resolve_workers
@@ -34,7 +33,7 @@ from .journal import Journal
 from .programs import APPS, build_program
 from .runner import execute_run, scalar_value
 from .scheduler import Job, JobScheduler, JobStore, Submission
-from .spec import CampaignSpec, RunSpec, study_runspecs
+from .spec import CampaignSpec, RunSpec
 
 __all__ = [
     "CampaignSpec",
@@ -55,9 +54,6 @@ __all__ = [
     "build_program",
     "execute_run",
     "scalar_value",
-    "run_study",
-    "study_spec",
-    "study_runspecs",
     "resolve_workers",
     "DEFAULT_ROOT",
 ]

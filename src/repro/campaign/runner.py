@@ -41,10 +41,10 @@ def scalar_value(values: List[Any]) -> Optional[float]:
 
 
 def spec_machine(
-    spec: RunSpec, telemetry: Telemetry, profiler: Optional[Any]
+    spec: RunSpec, telemetry: Optional[Telemetry], profiler: Optional[Any]
 ) -> Machine:
     """A fresh machine for ``spec``: network, shape, seed, fabric, faults,
-    observed by ``telemetry`` and, unless it is ``None``, ``profiler``."""
+    observed by ``telemetry`` and ``profiler`` unless they are ``None``."""
     return Machine(
         spec.network,
         spec.nodes,

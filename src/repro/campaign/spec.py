@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..faults import FaultPlan
@@ -251,7 +251,14 @@ class RunSpec:
         """The spec :meth:`to_dict` (or a request body) describes.
 
         Values pass through as sent: the constructor checks them once.
+        A key :meth:`to_dict` does not write is refused, so a typo never
+        answers a different question under that question's key.
         """
+        if not data.keys() <= _SPEC_KEYS:
+            raise ConfigurationError(
+                f"unknown run spec keys {sorted(data.keys() - _SPEC_KEYS)}; "
+                f"valid: {sorted(_SPEC_KEYS)}"
+            )
         return cls(
             app=data["app"],
             network=data["network"],
@@ -313,6 +320,10 @@ class RunSpec:
             knobs = ",".join(f"{k}={v}" for k, v in self.topology)
             text += f" topo[{knobs}]"
         return text
+
+
+#: The keys :meth:`RunSpec.to_dict` writes, the only ones ``from_dict`` takes.
+_SPEC_KEYS = frozenset(RunSpec("app", "ib", 1).to_dict())
 
 
 def _point_to_spec(point: Dict[str, Any], seed: int) -> RunSpec:
@@ -470,35 +481,3 @@ class CampaignSpec:
             raise ConfigurationError(f"campaign file {path} must hold an object")
         return cls.from_dict(data)
 
-
-def study_runspecs(
-    app: str,
-    app_args: Optional[Dict[str, Any]],
-    node_counts: Sequence[int],
-    networks: Sequence[str],
-    ppns: Sequence[int],
-    repetitions: int,
-    seed_base: int,
-) -> List[RunSpec]:
-    """The scaling-study sweep as RunSpecs, in the study's own order.
-
-    Unlike :meth:`CampaignSpec.expand` this preserves the historical
-    ``network -> ppn -> nodes -> repetition`` nesting of
-    :class:`repro.core.study.ScalingStudy`, so seeds and assembly order
-    match the serial runner exactly.
-    """
-    args = tuple((app_args or {}).items())
-    return [
-        RunSpec(
-            app=app,
-            network=network,
-            nodes=nodes,
-            ppn=ppn,
-            seed=seed_base + rep,
-            app_args=args,
-        )
-        for network in networks
-        for ppn in ppns
-        for nodes in node_counts
-        for rep in range(repetitions)
-    ]

@@ -22,7 +22,7 @@ without study sweeps (microbenchmarks, tables) ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..apps import (
     CG_CLASS_A,
@@ -41,7 +41,7 @@ from ..units import KiB, MiB, pow2_sizes
 from .efficiency import efficiency_series, fixed_efficiency
 from .extrapolate import extrapolate_scaled_time, trend_series
 from .platform import render_table1
-from .study import ScalingStudy, StudyResult
+from .study import ScalingStudy
 from .tables import render_series_table, render_table
 
 
@@ -436,29 +436,20 @@ def fig7_cost(quick: bool = False, seed: int = 0, engine=None) -> FigureData:
 # --------------------------------------------------------------------------
 
 def fig8_extrapolation(
-    quick: bool = False,
-    seed: int = 0,
-    membrane_result: Optional[StudyResult] = None,
-    engine=None,
+    quick: bool = False, seed: int = 0, engine=None
 ) -> FigureData:
-    """Membrane scaling extrapolated to 8192 processors.
-
-    Reuses a Figure 3 study result when provided (the report does this);
-    otherwise runs the membrane sweep itself.
-    """
-    if membrane_result is None:
-        node_counts = [1, 2, 4, 8] if quick else [1, 2, 4, 8, 16, 32]
-        reps = 2 if quick else 4
-        study = ScalingStudy(
-            app="lammps",
-            app_args={"config": MEMBRANE.name},
-            node_counts=node_counts,
-            ppns=(1,),
-            repetitions=reps,
-            mode="scaled",
-            seed_base=seed + 5000,
-        )
-        membrane_result = study.run(engine=engine)
+    """Membrane scaling extrapolated to 8192 processors, from a membrane
+    sweep of its own (seeded apart from Figure 3's)."""
+    study = ScalingStudy(
+        app="lammps",
+        app_args={"config": MEMBRANE.name},
+        node_counts=[1, 2, 4, 8] if quick else [1, 2, 4, 8, 16, 32],
+        ppns=(1,),
+        repetitions=2 if quick else 4,
+        mode="scaled",
+        seed_base=seed + 5000,
+    )
+    membrane_result = study.run(engine=engine)
     series = []
     out_to = 8192
     for net in ("ib", "elan"):

@@ -6,21 +6,27 @@ four repetitions on machines seeded differently — exactly the paper's
 methodology ("Each data point is the average of four benchmark runs").
 
 The application is declarative: an ``app`` id plus ``app_args`` (see
-:mod:`repro.campaign.programs`).  ``run()`` executes the sweep serially
-in-process, or through a :class:`repro.campaign.CampaignEngine` —
-parallel across workers, memoized on disk, and resumable — with
-bit-identical results.
+:mod:`repro.campaign.programs`).  The sweep is a campaign
+(:meth:`ScalingStudy.campaign`), and ``run()`` turns each of its runs
+into a value the way a campaign does: serially in-process, or through a
+:class:`repro.campaign.CampaignEngine` — parallel across workers,
+memoized on disk, and resumable — with bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..errors import ConfigurationError
-from ..mpi import Machine, NETWORK_LABELS
+from ..mpi import NETWORK_LABELS
 from ..results import DataSeries, RepStats
 from .efficiency import efficiency_series, fixed_efficiency, scaled_efficiency
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..campaign import CampaignSpec
 
 #: The paper's repetition count.
 DEFAULT_REPETITIONS = 4
@@ -122,6 +128,10 @@ class ScalingStudy:
     ) -> None:
         if not node_counts:
             raise ConfigurationError("need at least one node count")
+        if not networks:
+            raise ConfigurationError("need at least one network")
+        if not ppns:
+            raise ConfigurationError("need at least one ppn")
         if mode not in ("scaled", "fixed"):
             raise ConfigurationError(f"unknown study mode {mode!r}")
         if repetitions < 1:
@@ -144,9 +154,27 @@ class ScalingStudy:
             for nodes in self.node_counts
         ]
 
-    def seeds(self) -> List[int]:
-        """Machine seed per repetition (the paper's four reruns)."""
-        return [self.seed_base + rep for rep in range(self.repetitions)]
+    def campaign(self, name: str = "") -> "CampaignSpec":
+        """The sweep as a :class:`~repro.campaign.CampaignSpec`.
+
+        Every (network, nodes, ppn) point runs ``repetitions`` times,
+        seeded ``seed_base + rep`` (the paper's four reruns).  Its
+        ``to_dict()`` is a ``repro-campaign run`` file whose runs share
+        every cache key with :meth:`run`.
+        """
+        from ..campaign import CampaignSpec
+
+        return CampaignSpec(
+            name=name or f"{self.app}-study",
+            base={"app": self.app, "app_args": dict(self.app_args)},
+            grid={
+                "network": list(self.networks),
+                "nodes": list(self.node_counts),
+                "ppn": list(self.ppns),
+            },
+            repetitions=self.repetitions,
+            seed_base=self.seed_base,
+        )
 
     def assemble(
         self,
@@ -174,20 +202,42 @@ class ScalingStudy:
     ) -> StudyResult:
         """Execute the full sweep; deterministic for a fixed seed_base.
 
-        With a :class:`repro.campaign.CampaignEngine` the sweep's runs go
-        through the engine's cache and worker pool; results are
-        identical to the serial path either way.
+        Each run of :meth:`campaign` becomes a value the way a campaign
+        run does: :func:`~repro.campaign.scalar_value` of a fresh machine.
+        With a :class:`repro.campaign.CampaignEngine` the runs go through
+        the engine's cache and worker pool; results are identical to the
+        serial path either way.
         """
-        if engine is not None:
-            from ..campaign.adapters import run_study
+        specs = self.campaign().expand()
+        if engine is None:
+            from ..campaign.programs import build_program
+            from ..campaign.runner import scalar_value, spec_machine
 
-            return run_study(self, engine, progress=progress)
-        from ..campaign.programs import build_program
-
-        values: Dict[Tuple[str, int, int, int], float] = {}
-        for network, ppn, nodes in self.cells():
-            for rep, seed in enumerate(self.seeds()):
-                machine = Machine(network, nodes, ppn=ppn, seed=seed)
-                result = machine.run(build_program(self.app, self.app_args))
-                values[(network, ppn, nodes, rep)] = max(result.values)
-        return self.assemble(values, progress=progress)
+            values = [
+                scalar_value(
+                    spec_machine(spec, None, None)
+                    .run(build_program(spec.app, spec.args))
+                    .values
+                )
+                for spec in specs
+            ]
+        else:
+            result = engine.run_specs(specs)
+            failed = result.failed()
+            if failed:
+                first = failed[0]
+                raise ConfigurationError(
+                    f"{len(failed)} of {result.total} campaign runs failed; "
+                    f"first: {first.get('label', first.get('key'))}: "
+                    f"{first.get('error')}"
+                )
+            values = result.values()
+        # The campaign orders its grid axes by name, so assemble by each
+        # run's own fields, never by position.
+        return self.assemble(
+            {
+                (s.network, s.ppn, s.nodes, s.seed - self.seed_base): value
+                for s, value in zip(specs, values)
+            },
+            progress=progress,
+        )

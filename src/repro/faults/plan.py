@@ -125,6 +125,16 @@ class FaultPlan:
     elan_dead_retry_limit: int = 8
 
     def __post_init__(self) -> None:
+        # Types first: a string where a number belongs would otherwise
+        # fail below as a bare TypeError, a number where a string belongs
+        # as an AttributeError or only at machine build, and a bool would
+        # pass as 0 or 1.
+        for name, types, noun in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"fault plan {name}={value!r} must be {noun}"
+                )
         if self.link_ber > 0.0 and not self.link:
             raise ConfigurationError("link_ber needs a link name/prefix")
         if self.link and self.link_ber <= 0.0:
@@ -268,3 +278,13 @@ class FaultPlan:
 
 #: The field names :meth:`FaultPlan.from_dict` accepts.
 _FIELDS = frozenset(f.name for f in fields(FaultPlan))
+
+#: What each declared field type accepts; a bool is never a number.
+_ACCEPTS = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+#: ``(name, accepted types, noun)`` for every field, in field order.
+_FIELD_TYPES = tuple((f.name, *_ACCEPTS[f.type]) for f in fields(FaultPlan))

@@ -8,7 +8,7 @@ distinct RNG seed per repetition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional
 
 from ..errors import ConfigurationError
@@ -47,9 +47,6 @@ class RunResult:
     values: List[Any]
     #: Per-rank start/end times (after the synchronizing barrier).
     rank_spans: List[tuple]
-    #: Flat telemetry snapshot (empty unless the machine was built with
-    #: an enabled :class:`~repro.telemetry.Telemetry`).
-    metrics: dict = field(default_factory=dict)
 
     @property
     def elapsed_s(self) -> float:
@@ -224,12 +221,7 @@ class Machine:
 
         start = max(s for s, _ in spans)
         end = max(e for _, e in spans)
-        return RunResult(
-            elapsed_us=end - start,
-            values=values,
-            rank_spans=spans,
-            metrics=self.metrics() if self.sim.telemetry.enabled else {},
-        )
+        return RunResult(elapsed_us=end - start, values=values, rank_spans=spans)
 
     # -- analysis ------------------------------------------------------------
 

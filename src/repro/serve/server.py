@@ -99,6 +99,9 @@ MAX_CAMPAIGN_RUNS = 4096
 #: Upper bound on the server-side block of a ``wait_s`` request.
 MAX_WAIT_S = 300.0
 
+#: The keys a request envelope may carry around its spec.
+ENVELOPE_KEYS = frozenset(("spec", "force", "lifecycle", "wait_s"))
+
 #: Handler write buffer: a response up to this size (headers and body)
 #: leaves in one socket write when the request is done.
 WRITE_BUFFER_BYTES = 64 * 1024
@@ -526,26 +529,41 @@ class ServeHandler(BaseHTTPRequestHandler):
         """Unpack the optional request envelope around a spec dict.
 
         ``{"spec": {...}, "force": bool, "lifecycle": bool, "wait_s": s}``
-        — or the bare spec dict itself.
+        — or the bare spec dict itself.  Nothing is bent: an unknown key,
+        a ``force`` that is not a JSON boolean, a ``lifecycle`` that is
+        neither a boolean nor null or a ``wait_s`` that is not a finite
+        JSON number >= 0 is a 400 naming the field.
         """
         if "spec" in data and isinstance(data["spec"], dict):
+            unknown = data.keys() - ENVELOPE_KEYS
+            if unknown:
+                raise _HttpError(
+                    400,
+                    f"unknown envelope keys {sorted(unknown)}; "
+                    f"valid: {sorted(ENVELOPE_KEYS)}",
+                )
             spec = data["spec"]
-            force = bool(data.get("force", False))
+            force = data.get("force", False)
+            if not isinstance(force, bool):
+                raise _HttpError(400, f"force={force!r} must be true or false")
             lifecycle = data.get("lifecycle")
-            lifecycle = None if lifecycle is None else bool(lifecycle)
+            if not (lifecycle is None or isinstance(lifecycle, bool)):
+                raise _HttpError(
+                    400, f"lifecycle={lifecycle!r} must be true, false or null"
+                )
             wait_s = data.get("wait_s")
             if wait_s is not None:
-                try:
-                    wait_s = float(wait_s)
-                except (TypeError, ValueError):
-                    raise _HttpError(400, "wait_s must be a number") from None
                 # JSON admits NaN and Infinity; a NaN timeout never
                 # expires and makes the scheduler's wait loop spin.
-                if not 0.0 <= wait_s < math.inf:
+                if (
+                    not isinstance(wait_s, (int, float))
+                    or isinstance(wait_s, bool)
+                    or not 0.0 <= wait_s < math.inf
+                ):
                     raise _HttpError(
-                        400, "wait_s must be a finite number >= 0"
+                        400, f"wait_s={wait_s!r} must be a finite number >= 0"
                     )
-                wait_s = min(wait_s, MAX_WAIT_S)
+                wait_s = min(float(wait_s), MAX_WAIT_S)
             return spec, force, lifecycle, wait_s
         return data, False, None, None
 

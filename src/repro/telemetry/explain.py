@@ -135,7 +135,7 @@ def build_report(machine, result, label: str = "") -> Dict[str, Any]:
         ],
         "waterfall": waterfall(spans),
         "series": machine.series(),
-        "metrics": result.metrics,
+        "metrics": machine.metrics(),
     }
 
 

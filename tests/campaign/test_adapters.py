@@ -1,8 +1,8 @@
-"""Adapter tests: studies and figures through the campaign engine."""
+"""Studies and figures through the campaign engine."""
 
 import pytest
 
-from repro.campaign import CampaignEngine, run_study, study_spec
+from repro.campaign import CampaignEngine, CampaignSpec
 from repro.core import ScalingStudy
 from repro.errors import ConfigurationError
 
@@ -67,22 +67,17 @@ def test_failed_run_surfaces_as_error(tmp_path):
         study.run(engine=engine)
 
 
-def test_study_spec_expands_to_same_keys(tmp_path):
-    """CLI-facing CampaignSpec covers exactly the study's runs."""
-    from repro.campaign import study_runspecs
-
-    study = declarative_study()
-    spec = study_spec(study, name="ljs-study")
-    direct = study_runspecs(
-        app=study.app,
-        app_args=study.app_args,
-        node_counts=study.node_counts,
-        networks=study.networks,
-        ppns=study.ppns,
-        repetitions=study.repetitions,
-        seed_base=study.seed_base,
-    )
-    assert {s.key for s in spec.expand()} == {s.key for s in direct}
+def test_campaign_file_warms_the_study(tmp_path):
+    """``repro-campaign run`` of ``study.campaign().to_dict()`` leaves a
+    root that answers every run of ``study.run(engine=)``."""
+    campaign = CampaignSpec.from_dict(declarative_study().campaign("ci").to_dict())
+    CampaignEngine(root=tmp_path, workers=1).run(campaign)
+    echoes = []
+    warm_engine = CampaignEngine(root=tmp_path, workers=1, echo=echoes.append)
+    warm = declarative_study().run(engine=warm_engine)
+    assert len(echoes) == campaign.run_count()
+    assert all(line.startswith("hit") for line in echoes)
+    assert curves_of(warm) == curves_of(declarative_study().run())
 
 
 def test_figure_through_engine_matches_serial(tmp_path):

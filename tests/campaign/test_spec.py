@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign import CampaignSpec, RunSpec, build_program, study_runspecs
+from repro.campaign import CampaignSpec, RunSpec, build_program
 from repro.campaign.runner import execute_run
 from repro.errors import ConfigurationError
 
@@ -159,23 +159,6 @@ def test_from_file_rejects_garbage(tmp_path):
     path.write_text("[1]")  # valid JSON, but not an object
     with pytest.raises(ConfigurationError):
         CampaignSpec.from_file(path)
-
-
-def test_study_runspecs_order_matches_study_nesting():
-    specs = study_runspecs(
-        app="lammps",
-        app_args={"config": "ljs"},
-        node_counts=[1, 2],
-        networks=["ib", "elan"],
-        ppns=[1],
-        repetitions=2,
-        seed_base=1000,
-    )
-    assert len(specs) == 8
-    # network outermost, reps innermost; seeds are seed_base + rep.
-    assert [(s.network, s.nodes, s.seed) for s in specs[:4]] == [
-        ("ib", 1, 1000), ("ib", 1, 1001), ("ib", 2, 1000), ("ib", 2, 1001)
-    ]
 
 
 def test_build_program_registry():
@@ -357,3 +340,29 @@ def test_mistyped_topology_fields_are_refused(topology):
     with pytest.raises(ConfigurationError, match="must be a"):
         RunSpec.from_dict({"app": "pingpong", "network": "ib", "nodes": 2,
                            "topology": topology})
+
+
+def test_unknown_spec_keys_are_refused_by_name():
+    # A typo used to answer a different question under that question's
+    # key: "sed" and "app_arg" were ignored, so this built seed 0 with
+    # no app arguments.
+    data = {"app": "pingpong", "network": "ib", "nodes": 2, "sed": 5,
+            "app_arg": {"size": 8}}
+    with pytest.raises(ConfigurationError, match=r"\['app_arg', 'sed'\]"):
+        RunSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("faults,field", [
+    ({"hard_events": 5}, "hard_events"),
+    ({"ber": "0.1"}, "ber"),
+    ({"elan_rails": True}, "elan_rails"),
+    ({"link_down": 7, "link_down_at_us": 1}, "link_down"),
+    ({"elan_rails": 1.5}, "elan_rails"),
+])
+def test_mistyped_fault_fields_are_refused(faults, field):
+    # hard_events=5 raised AttributeError (a 500 over HTTP), ber="0.1" a
+    # bare TypeError, elan_rails=true ran as one rail under a key of its
+    # own, and link_down=7 failed only when the machine was built.
+    with pytest.raises(ConfigurationError, match=field):
+        RunSpec.from_dict({"app": "pingpong", "network": "ib", "nodes": 2,
+                           "faults": faults})

@@ -1,7 +1,10 @@
 """Tests for the scaling-study orchestration."""
 
+import json
+
 import pytest
 
+from repro.campaign import CampaignSpec, RunSpec
 from repro.core import ScalingStudy
 from repro.errors import ConfigurationError
 
@@ -17,6 +20,41 @@ def test_study_validation():
         ScalingStudy(**QUICK_LJS, node_counts=[1], mode="weird")
     with pytest.raises(ConfigurationError):
         ScalingStudy(**QUICK_LJS, node_counts=[1], repetitions=0)
+    with pytest.raises(ConfigurationError, match="network"):
+        ScalingStudy(**QUICK_LJS, node_counts=[1], networks=())
+    with pytest.raises(ConfigurationError, match="ppn"):
+        ScalingStudy(**QUICK_LJS, node_counts=[1], ppns=())
+
+
+def test_campaign_seeds_and_keys():
+    """The study's sweep is one campaign: every cell, seeds seed_base +
+    rep, and the keys of the runs a hand-built RunSpec would have, also
+    after a round trip through a campaign file."""
+    study = ScalingStudy(
+        **QUICK_LJS, node_counts=[2, 1], networks=("elan", "ib"),
+        ppns=(1, 2), repetitions=3, seed_base=70,
+    )
+    campaign = study.campaign("ljs-study")
+    assert campaign.name == "ljs-study"
+    assert study.campaign().name == "lammps-study"
+    specs = campaign.expand()
+    assert sorted(
+        (s.network, s.ppn, s.nodes, s.seed) for s in specs
+    ) == sorted(
+        (network, ppn, nodes, 70 + rep)
+        for network, ppn, nodes in study.cells()
+        for rep in range(3)
+    )
+    direct = {
+        RunSpec(
+            app="lammps", network=s.network, nodes=s.nodes, ppn=s.ppn,
+            seed=s.seed, app_args=tuple(QUICK_LJS["app_args"].items()),
+        ).key
+        for s in specs
+    }
+    assert {s.key for s in specs} == direct
+    on_file = CampaignSpec.from_dict(json.loads(json.dumps(campaign.to_dict())))
+    assert [s.key for s in on_file.expand()] == [s.key for s in specs]
 
 
 @pytest.fixture(scope="module")

@@ -47,6 +47,23 @@ def test_invalid_plans_rejected(kwargs):
         FaultPlan(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"hard_events": 5}, "hard_events=5 must be a string"),
+        ({"link_down": 7, "link_down_at_us": 1.0}, "link_down=7 must be a string"),
+        ({"ber": "0.1"}, "ber='0.1' must be a number"),
+        ({"ber": True}, "ber=True must be a number"),
+        ({"elan_rails": True}, "elan_rails=True must be an integer"),
+        ({"ib_retry_count": 3.0}, "ib_retry_count=3.0 must be an integer"),
+        ({"detect_delay_us": None}, "detect_delay_us=None must be a number"),
+    ],
+)
+def test_field_types_are_checked_first(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        FaultPlan(**kwargs)
+
+
 def test_dict_roundtrip():
     plan = FaultPlan(ber=1e-7, nic_stall_rate=0.05, ib_retry_count=3)
     assert FaultPlan.from_dict(plan.to_dict()) == plan

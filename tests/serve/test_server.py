@@ -354,10 +354,11 @@ def test_cold_query_completes_via_job_handle(service):
 
 
 def test_wait_s_must_be_a_finite_non_negative_number(service):
-    """JSON admits NaN; a NaN wait would spin a handler thread."""
+    """JSON admits NaN; a NaN wait would spin a handler thread.  A string
+    or a boolean used to be bent into a number ("5" waited 5 s)."""
     spec = json.dumps(dict(SPEC, app_args={"size": 24}))
     scheduled = service.state.scheduler.stats["scheduled"]
-    for bad in ("NaN", "Infinity", "-1"):
+    for bad in ("NaN", "Infinity", "-1", '"5"', "true"):
         req = urllib.request.Request(
             service.url + "/v1/runs", method="POST",
             data=f'{{"spec": {spec}, "wait_s": {bad}}}'.encode(),
@@ -639,13 +640,37 @@ def test_bad_bodies_are_400(service):
     ({"topology": {"kind": "torus", "dim_latency": 5}}, "dim_latency"),
     ({"topology": {"kind": "fattree", "radix": "8"}}, "radix"),
     ({"topology": {"kind": "fattree", "radix": 8, "levels": True}}, "levels"),
+    ({"sed": 5, "app_arg": {"size": 8}}, "app_arg"),
+    ({"faults": {"hard_events": 5}}, "hard_events"),
+    ({"faults": {"ber": "0.1"}}, "ber"),
+    ({"faults": {"elan_rails": True}}, "elan_rails"),
 ])
 def test_mistyped_spec_values_are_400(service, change, field):
     # nodes=2.5 and ib_progress_thread="no" answered 202 and ran bent
-    # values; a torus dims of 444 answered 500 (AttributeError).
+    # values; a torus dims of 444 and a fault hard_events of 5 answered
+    # 500 (AttributeError); "sed" and "app_arg" were ignored.
     scheduled = service.state.scheduler.stats["scheduled"]
     code, err = http_error("POST", service.url + "/v1/runs",
                            dict(SPEC, **change))
+    assert code == 400
+    assert field in err["error"]
+    assert service.state.scheduler.stats["scheduled"] == scheduled
+
+
+@pytest.mark.parametrize("path,body,field", [
+    ("/v1/runs", {"spec": SPEC, "force": "no", "lifecycle": "no"}, "force"),
+    ("/v1/runs", {"spec": SPEC, "force": None}, "force"),
+    ("/v1/runs", {"spec": SPEC, "lifecycle": "no"}, "lifecycle"),
+    ("/v1/runs", {"spec": SPEC, "lifecycle": 1}, "lifecycle"),
+    ("/v1/runs", {"spec": SPEC, "wiat_s": 5}, "wiat_s"),
+    ("/v1/campaigns", {"spec": CAMPAIGN, "force": "no"}, "force"),
+    ("/v1/campaigns", {"spec": CAMPAIGN, "wiat_s": 5}, "wiat_s"),
+])
+def test_envelope_fields_are_checked_not_bent(service, path, body, field):
+    # {"force": "no", "lifecycle": "no"} forced a re-simulation with
+    # lifecycle on, and "wiat_s" was ignored, so the request did not wait.
+    scheduled = service.state.scheduler.stats["scheduled"]
+    code, err = http_error("POST", service.url + path, body)
     assert code == 400
     assert field in err["error"]
     assert service.state.scheduler.stats["scheduled"] == scheduled
